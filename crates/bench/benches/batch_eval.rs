@@ -4,9 +4,9 @@
 //!
 //! The `n400_*` group is the ROADMAP's hot-path acceptance check: the
 //! batched path (`run_batch` streaming precomputed effective-weight rows
-//! once per chunk) against the scalar path (`run_sample` re-applying the
-//! synapse read rule to every stored weight on every access — exactly the
-//! pre-split behaviour), both pinned to one worker thread. Throughput is
+//! once per chunk) against the scalar oracle (`sparkxd_bench::oracle`,
+//! one sample at a time, re-applying the synapse read rule to every
+//! stored weight on every access), both on one thread. Throughput is
 //! reported as samples/sec via the group's `Throughput::Elements`.
 //!
 //! The `n3600_*` group is the paper-scale tiling + kernel + occupancy
@@ -21,6 +21,7 @@
 //! runner's `auto` would claim helpers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use sparkxd_bench::oracle;
 use sparkxd_data::{SynthDigits, SyntheticSource};
 use sparkxd_snn::engine::{BatchEvaluator, DEFAULT_BATCH, DEFAULT_TILE};
 use sparkxd_snn::kernels::avx2_supported;
@@ -43,8 +44,7 @@ fn bench(c: &mut Criterion) {
         .throughput(Throughput::Elements(data.len() as u64));
 
     g.bench_function("evaluate_scalar_serial_n100_s100", |b| {
-        let eval = BatchEvaluator::with_threads(1).with_batch(1);
-        b.iter(|| eval.evaluate(&params, &data, &labeler, 5))
+        b.iter(|| oracle::evaluate(&params, &data, &labeler, 5))
     });
 
     g.bench_function(
@@ -67,7 +67,7 @@ fn bench(c: &mut Criterion) {
     );
     g.finish();
 
-    // Paper-scale read path: N400, single worker, scalar vs batched, on a
+    // Paper-scale read path: N400, single thread, oracle vs batched, on a
     // (briefly) trained model — the image the pipeline actually evaluates.
     let mut net_n400 = DiehlCookNetwork::new(SnnConfig::for_neurons(400).with_timesteps(50));
     net_n400.train_epoch(&SynthDigits.generate(48, 1), 2);
@@ -79,8 +79,7 @@ fn bench(c: &mut Criterion) {
         .throughput(Throughput::Elements(data_n400.len() as u64));
 
     g.bench_function("spike_counts_scalar_serial_n400", |b| {
-        let eval = BatchEvaluator::with_threads(1).with_batch(1);
-        b.iter(|| eval.spike_counts(&params_n400, &data_n400, 9))
+        b.iter(|| oracle::spike_counts(&params_n400, &data_n400, 9))
     });
 
     g.bench_function(

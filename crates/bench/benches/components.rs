@@ -1,15 +1,13 @@
 //! Component throughput benches (ablation support): DRAM replay, SNN
 //! stepping, error injection and the three mapping policies.
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sparkxd_core::mapping::{
     BaselineMapping, MappingPolicy, SafeSequentialMapping, SparkXdMapping,
 };
 use sparkxd_data::{SynthDigits, SyntheticSource};
 use sparkxd_dram::{AccessTrace, CompressedTrace, DramConfig, DramModel};
 use sparkxd_error::{ErrorModel, ErrorProfile, Injector};
-use sparkxd_snn::{DiehlCookNetwork, SnnConfig};
+use sparkxd_snn::{BatchEvaluator, NetworkParams, SnnConfig};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
@@ -44,13 +42,10 @@ fn bench(c: &mut Criterion) {
     });
 
     let data = SynthDigits.generate(1, 1);
-    let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(100).with_timesteps(50));
+    let params = NetworkParams::new(SnnConfig::for_neurons(100).with_timesteps(50));
     g.bench_function("snn_sample_n100_t50", |b| {
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| {
-            net.run_sample(data.get(0).0.pixels(), &mut rng, false)
-                .unwrap()
-        })
+        let eval = BatchEvaluator::with_threads(1).with_batch(1);
+        b.iter(|| eval.spike_counts(&params, &data, 3))
     });
 
     let mut weights = vec![0.5f32; 100_000];

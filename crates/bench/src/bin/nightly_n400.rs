@@ -1,7 +1,7 @@
 //! Nightly scale guard: one paper-scale (N400) pipeline end to end, an
-//! engine-throughput measurement (scalar vs batched read path), and a
-//! drive-kernel scale sweep up to the paper's largest network (N3600,
-//! scalar vs untiled vs serial-tiled vs tiled+AVX2 vs
+//! engine-throughput measurement (scalar oracle vs batched read path),
+//! and a drive-kernel scale sweep up to the paper's largest network
+//! (N3600, scalar oracle vs untiled vs serial-tiled vs tiled+AVX2 vs
 //! intra-parallel-tiled).
 //!
 //! The per-PR suite runs demo-sized networks; scale-dependent regressions
@@ -22,8 +22,8 @@
 //! (`SPARKXD_NIGHTLY_SEED` overrides the default device seed of 42).
 
 use sparkxd_bench::{
-    append_job_summary, bench_json, precision_json, telemetry_overhead_json, telemetry_summary,
-    write_bench_json, BenchRow, PrecisionRow,
+    append_job_summary, bench_json, oracle, precision_json, telemetry_overhead_json,
+    telemetry_summary, write_bench_json, BenchRow, PrecisionRow,
 };
 use sparkxd_core::energy_eval::EnergyEvaluation;
 use sparkxd_core::mapping::{BaselineMapping, MappingPolicy};
@@ -38,60 +38,45 @@ use sparkxd_snn::WeightPrecision;
 use sparkxd_snn::{DiehlCookNetwork, IntraChoice, KernelChoice, SnnConfig, WorkerPool};
 use sparkxd_telemetry as telemetry;
 
-/// Samples/sec of one engine configuration on `samples` N400 inferences
-/// (best of `reps` passes, first pass warms the cache).
-fn samples_per_sec(
-    eval: &BatchEvaluator,
-    params: &sparkxd_snn::NetworkParams,
-    data: &sparkxd_data::Dataset,
-    reps: usize,
-) -> f64 {
+/// Samples/sec of one pass of `run` over `samples` inferences (best of
+/// `reps` passes, first pass warms the cache).
+fn samples_per_sec(samples: usize, reps: usize, run: impl Fn() -> Vec<Vec<u32>>) -> f64 {
     let mut best = f64::MAX;
     for _ in 0..reps.max(1) {
         let t = std::time::Instant::now();
-        let counts = eval.spike_counts(params, data, 0x7A);
-        std::hint::black_box(counts);
+        std::hint::black_box(run());
         best = best.min(t.elapsed().as_secs_f64());
     }
-    data.len() as f64 / best
+    samples as f64 / best
 }
 
-/// Measures scalar vs batched (and machine-parallel batched) inference
-/// throughput on a briefly trained N400 model; returns
+/// Measures the scalar oracle vs batched (and machine-parallel batched)
+/// inference throughput on a briefly trained N400 model; returns
 /// `(scalar, batched, parallel)` in samples/sec.
 fn measure_throughput() -> (f64, f64, f64) {
     let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(400).with_timesteps(50));
     net.train_epoch(&SynthDigits.generate(48, 1), 2);
     let params = net.into_params();
     let data = SynthDigits.generate(64, 7);
-    let scalar = samples_per_sec(
-        &BatchEvaluator::with_threads(1).with_batch(1),
-        &params,
-        &data,
-        3,
-    );
-    let batched = samples_per_sec(
-        &BatchEvaluator::with_threads(1).with_batch(DEFAULT_BATCH),
-        &params,
-        &data,
-        3,
-    );
-    let parallel = samples_per_sec(
-        &BatchEvaluator::from_env().with_batch(DEFAULT_BATCH),
-        &params,
-        &data,
-        3,
-    );
+    let scalar = samples_per_sec(data.len(), 3, || oracle::spike_counts(&params, &data, 0x7A));
+    let batched_eval = BatchEvaluator::with_threads(1).with_batch(DEFAULT_BATCH);
+    let batched = samples_per_sec(data.len(), 3, || {
+        batched_eval.spike_counts(&params, &data, 0x7A)
+    });
+    let parallel_eval = BatchEvaluator::from_env().with_batch(DEFAULT_BATCH);
+    let parallel = samples_per_sec(data.len(), 3, || {
+        parallel_eval.spike_counts(&params, &data, 0x7A)
+    });
     (scalar, batched, parallel)
 }
 
-/// Measures the scalar serial reference (`run_sample`, B = 1), the
-/// untiled batched sweep (one `usize::MAX` tile — the pre-tiling
-/// behaviour), the serial tiled batched sweep, — on AVX2 hosts — the
-/// tiled sweep on the AVX2 kernel, and — with `intra_workers > 1` — the
-/// intra-parallel tiled sweep (the per-timestep tile fan-out across
+/// Measures the scalar oracle (`sparkxd_bench::oracle`, one sample at a
+/// time on one thread), the untiled batched sweep (one `usize::MAX`
+/// tile — the pre-tiling behaviour), the serial tiled batched sweep, —
+/// on AVX2 hosts — the tiled sweep on the AVX2 kernel, and — with
+/// `intra_workers > 1` — the intra-parallel tiled sweep (the per-timestep tile fan-out across
 /// `intra_workers` pool workers), on a briefly trained network of
-/// `n_neurons`. The serial rows pin `KernelChoice::Scalar` *and*
+/// `n_neurons`. The serial batched rows pin `KernelChoice::Scalar` *and*
 /// `IntraChoice::Off` so they stay comparable across hosts and nights
 /// regardless of what `auto` resolves to on a multi-core runner. The
 /// configurations are **interleaved** round-robin (best-of per config)
@@ -104,11 +89,8 @@ fn measure_kernels(n_neurons: usize, samples: usize, intra_workers: usize) -> Be
     net.train_epoch(&SynthDigits.generate(24, 1), 2);
     let params = net.into_params();
     let data = SynthDigits.generate(samples, 7);
+    // Slot 0 is the oracle; slot `i > 0` times `evals[i - 1]`.
     let mut evals = vec![
-        BatchEvaluator::with_threads(1)
-            .with_batch(1)
-            .with_kernel(KernelChoice::Scalar)
-            .with_intra(IntraChoice::Off),
         BatchEvaluator::with_threads(1)
             .with_batch(DEFAULT_BATCH)
             .with_tile(usize::MAX)
@@ -126,7 +108,7 @@ fn measure_kernels(n_neurons: usize, samples: usize, intra_workers: usize) -> Be
                 .with_kernel(KernelChoice::Avx2)
                 .with_intra(IntraChoice::Off),
         );
-        Some(evals.len() - 1)
+        Some(evals.len())
     } else {
         None
     };
@@ -137,16 +119,20 @@ fn measure_kernels(n_neurons: usize, samples: usize, intra_workers: usize) -> Be
                 .with_kernel(KernelChoice::Scalar)
                 .with_intra(IntraChoice::Workers(intra_workers)),
         );
-        Some(evals.len() - 1)
+        Some(evals.len())
     } else {
         None
     };
-    let mut best = vec![f64::MAX; evals.len()];
+    let mut best = vec![f64::MAX; evals.len() + 1];
     for _ in 0..4 {
-        for (slot, eval) in best.iter_mut().zip(&evals) {
+        for (slot, best) in best.iter_mut().enumerate() {
             let t = std::time::Instant::now();
-            std::hint::black_box(eval.spike_counts(&params, &data, 0x7A));
-            *slot = slot.min(t.elapsed().as_secs_f64());
+            let counts = match slot {
+                0 => oracle::spike_counts(&params, &data, 0x7A),
+                i => evals[i - 1].spike_counts(&params, &data, 0x7A),
+            };
+            std::hint::black_box(counts);
+            *best = best.min(t.elapsed().as_secs_f64());
         }
     }
     BenchRow {
@@ -348,19 +334,19 @@ fn main() {
         outcome.energy.speedup()
     );
 
-    // Engine throughput: scalar (pre-split read path, B = 1) vs batched
-    // (effective-plane streaming, B = DEFAULT_BATCH), single worker, plus
-    // the machine-parallel batched figure.
+    // Engine throughput: the scalar oracle (one sample at a time) vs
+    // batched (effective-plane streaming, B = DEFAULT_BATCH), single
+    // thread, plus the machine-parallel batched figure.
     let (scalar, batched, parallel) = measure_throughput();
     let ratio = batched / scalar.max(f64::MIN_POSITIVE);
     println!("inference throughput (N400, samples/sec):");
-    println!("  scalar   (1 thread, B=1)          : {scalar:8.1}");
+    println!("  scalar   (1 thread, oracle)       : {scalar:8.1}");
     println!(
         "  batched  (1 thread, B={DEFAULT_BATCH})          : {batched:8.1}  ({ratio:.2}x scalar)"
     );
     println!("  batched  (machine threads, B={DEFAULT_BATCH})   : {parallel:8.1}");
 
-    // Drive-kernel scale sweep: scalar vs untiled vs serial tiled vs
+    // Drive-kernel scale sweep: scalar oracle vs untiled vs serial tiled vs
     // tiled+AVX2 vs intra-parallel tiled from the pipeline's N400 up to
     // the paper's largest network. At N3600 the [B × n] drive slab is far
     // out of L1; the tiled sweep keeps each [B × tile] strip L1-resident,
@@ -482,7 +468,7 @@ fn main() {
          | accuracy @ operating point | {:.2}% |\n\
          | DRAM energy saving | {:.1}% |\n\
          | wall time (pipeline) | {:.1?} |\n\
-         | scalar throughput (1 thread, B=1) | {scalar:.1} samples/s |\n\
+         | scalar throughput (1 thread, oracle) | {scalar:.1} samples/s |\n\
          | batched throughput (1 thread, B={DEFAULT_BATCH}) | {batched:.1} samples/s ({ratio:.2}x scalar) |\n\
          | batched throughput (machine threads, B={DEFAULT_BATCH}) | {parallel:.1} samples/s |\n\
          | DRAM replay, per-access | {replay_per_access:.0} accesses/s |\n\
@@ -571,7 +557,7 @@ fn main() {
         fp32.pass_mj
     );
     // N3600 floors. The batched tiled path sustains ~1.5-1.6x the scalar
-    // read path on the reference container (interleaved best-of-4); 1.35x
+    // reference on the reference container (interleaved best-of-4); 1.35x
     // leaves margin for runner noise while still catching a real
     // regression. Tiling itself is a wash against the untiled sweep on
     // large-L2 parts (the whole N3600 working set fits a 2 MiB L2, and

@@ -13,8 +13,13 @@
 //! the paper's N400–N3600 at full sample counts (hours of CPU). Energy
 //! experiments always use the paper's exact network sizes — they replay
 //! weight-streaming traces and need no training.
+//!
+//! [`oracle`] is the scalar reference simulator the invariance suites and
+//! the nightly throughput rows compare the library's simulation core
+//! against.
 
 pub mod experiments;
+pub mod oracle;
 pub mod report;
 pub mod scale;
 pub mod table;

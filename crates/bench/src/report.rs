@@ -105,8 +105,8 @@ pub fn run_sections(jobs: Vec<SectionJob>) -> Vec<Section> {
 pub struct BenchRow {
     /// Excitatory-layer size the row was measured at.
     pub n_neurons: usize,
-    /// Samples/sec of the scalar serial reference (`run_sample`, B = 1 —
-    /// the pre-batching read path).
+    /// Samples/sec of the scalar oracle ([`crate::oracle`], one sample at
+    /// a time on one thread).
     pub scalar: f64,
     /// Samples/sec of the untiled batched sweep (one `usize::MAX` tile —
     /// the pre-tiling behaviour), portable kernel.

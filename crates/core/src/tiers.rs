@@ -407,8 +407,8 @@ mod tests {
     fn calibration_eval_config_cannot_change_the_ladder() {
         // The pinned calibration evaluator decides *how fast* accuracy is
         // measured, never *what* is measured: any (threads, batch, tile)
-        // point must tag every tier with the same accuracy as the scalar
-        // serial reference.
+        // point must tag every tier with the same accuracy as the serial
+        // one-sample-at-a-time reference.
         let reference = TierBuilder::new(tiny_config(5))
             .with_calibration_eval(BatchEvaluator::with_threads(1).with_batch(1))
             .build()

@@ -79,6 +79,6 @@ pub mod router;
 pub mod service;
 
 pub use loadgen::{arrival_trace, replay_open_loop, Arrival, LoadSpec, ReplayOutcome};
-pub use metrics::{percentile, MetricsSnapshot, ServiceMetrics, TierCounters};
+pub use metrics::{MetricsSnapshot, ServiceMetrics, TierCounters};
 pub use router::{RoutePolicy, Router, TierInfo};
 pub use service::{ServeRequest, ServeResponse, ServiceConfig, SparkXdService, SubmitError};

@@ -159,22 +159,22 @@ impl MetricsSnapshot {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample set (`0` when
-/// empty). `q` is a fraction in `[0, 1]`. This is the exact reference
-/// the histogram-backed snapshot percentiles approximate; the
-/// regression tests below pin where the two agree bit-for-bit (empty,
-/// single sample, all-equal).
-pub fn percentile(sorted_ns: &[u64], q: f64) -> u64 {
-    if sorted_ns.is_empty() {
-        return 0;
-    }
-    let rank = (q * sorted_ns.len() as f64).ceil() as usize;
-    sorted_ns[rank.clamp(1, sorted_ns.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Nearest-rank percentile of an ascending-sorted sample set (`0`
+    /// when empty). `q` is a fraction in `[0, 1]`. This is the exact
+    /// reference the histogram-backed snapshot percentiles approximate;
+    /// the tests below pin where the two agree bit-for-bit (empty, single
+    /// sample, all-equal).
+    fn percentile(sorted_ns: &[u64], q: f64) -> u64 {
+        if sorted_ns.is_empty() {
+            return 0;
+        }
+        let rank = (q * sorted_ns.len() as f64).ceil() as usize;
+        sorted_ns[rank.clamp(1, sorted_ns.len()) - 1]
+    }
 
     #[test]
     fn percentile_is_nearest_rank() {
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn histogram_percentiles_match_the_old_sort_on_edge_cases() {
         // Regression against the previous sort-the-ring implementation
-        // (the free `percentile` above is its exact percentile half):
+        // (the test-only `percentile` above is its exact percentile half):
         // on the edge cases — empty, single sample, all-equal — the
         // histogram answers must be bit-identical to the old path.
         // Empty.

@@ -17,8 +17,8 @@
 //! ## Determinism
 //!
 //! The spike RNG of request `id` is `sample_rng(spike_seed, id)` — the
-//! same per-sample stream derivation the offline engine uses — and the
-//! batched path is bit-identical to the scalar path for any chunk
+//! same per-sample stream derivation the offline engine uses — and a
+//! sample's spike counts from `run_batch` are bit-identical for any chunk
 //! composition. Tier choice is a pure function of the request's policy.
 //! So `(id → label, tier)` is **bit-identical for any worker count, batch
 //! size, chunking or arrival timing**; only latency/throughput metrics
@@ -675,9 +675,10 @@ mod tests {
     }
 
     #[test]
-    fn responses_match_offline_run_sample() {
+    fn responses_match_offline_run_batch() {
         // The serving answer for (seed, id) must be exactly the offline
-        // engine's answer: same RNG stream, same batched read path.
+        // engine's answer: the same RNG stream through the same
+        // simulation core, presented here one request at a time.
         let tiers = three_tiers();
         let tier0 = tiers[0].clone();
         let seed = 0xF00D;
@@ -694,12 +695,17 @@ mod tests {
                 .expect("room");
         }
         service.shutdown();
-        let mut offline_state = sparkxd_snn::RunState::for_params(&tier0.params);
+        let mut offline_state = BatchState::for_params(&tier0.params, 1);
         for response in rx.iter() {
-            let mut rng = sample_rng(seed, response.id);
             let counts = tier0
                 .params
-                .run_sample(&mut offline_state, &pixels, &mut rng)
+                .run_batch(
+                    &mut offline_state,
+                    &[pixels.as_slice()],
+                    &mut [sample_rng(seed, response.id)],
+                )
+                .unwrap()
+                .pop()
                 .unwrap();
             assert_eq!(
                 response.label,

@@ -4,8 +4,8 @@
 //! mirroring the offline engine's `tests/thread_invariance.rs` guarantee.
 //!
 //! Why this holds: request `id` selects the per-sample RNG stream (the
-//! offline derivation), the batched read path is bit-identical to the
-//! scalar path for any chunk composition, the intra-chunk tile sweep
+//! offline derivation), a sample's spike counts from `run_batch` are
+//! bit-identical for any chunk composition, the intra-chunk tile sweep
 //! splits on tile boundaries (the serial sweep's own loop structure), and
 //! routing is a pure function of the policy. Worker count, batch size,
 //! sweep split and dispatch timing can only change *when* an answer
@@ -84,7 +84,7 @@ fn responses_are_bit_identical_across_workers_and_batch_sizes() {
         answers
     };
 
-    // Serial scalar reference: 1 worker, chunk size 1, serial sweep,
+    // Serial reference: 1 worker, chunk size 1, serial sweep,
     // telemetry off.
     use sparkxd_telemetry::Mode;
     let reference = run(1, 1, IntraChoice::Off, Mode::Off);

@@ -53,7 +53,7 @@ impl PoissonEncoder {
     /// [`encode_step`](Self::encode_step) — dark pixels never draw in
     /// either path — so the two produce bit-identical spike trains while
     /// the plan skips the dark-pixel scan and the per-step probability
-    /// arithmetic. Used by the batched hot path, where one sample is
+    /// arithmetic. Used by the simulation core, where one sample is
     /// presented for many timesteps.
     ///
     /// The stored threshold is `ceil(spike_probability · 2²⁴)`: a raw

@@ -2,7 +2,7 @@
 //!
 //! Every sample presentation at inference is independent: the thresholds
 //! are frozen and membrane state is reset per sample (see
-//! [`NetworkParams::run_sample`]). The engine exploits that three times
+//! [`NetworkParams::run_batch`]). The engine exploits that three times
 //! over:
 //!
 //! * a dataset is sharded across workers of the persistent
@@ -19,20 +19,20 @@
 //!
 //! The spike-train RNG for sample `i` is derived from `(seed, i)`, so the
 //! result is bit-identical for **any** worker count *and any batch size*,
-//! including fully serial scalar execution.
+//! including fully serial execution one sample at a time.
 //!
 //! Worker counts come from `std::thread::available_parallelism()`, with
 //! the `SPARKXD_THREADS` environment variable as an override (`1` forces
 //! serial execution; higher values pin the exact thread count). The batch
 //! size defaults to [`DEFAULT_BATCH`], with `SPARKXD_BATCH` as an override
-//! (`1` forces the scalar read path), and the neuron-tile width of the
-//! batched drive matrix defaults to [`DEFAULT_TILE`], with `SPARKXD_TILE`
-//! as an override (any value ≥ `n_neurons` disables tiling). The
-//! intra-chunk sweep mode defaults to [`IntraChoice::Auto`], with
-//! `SPARKXD_INTRA` as an override (`off` keeps the serial sweep, `<k>`
-//! pins `k` sweep workers); every level draws from the one global thread
-//! budget (see [`WorkerReservation`]), so nesting never oversubscribes
-//! the machine to workers².
+//! (`1` presents one sample per `run_batch` call), and the neuron-tile
+//! width of the batched drive matrix defaults to [`DEFAULT_TILE`], with
+//! `SPARKXD_TILE` as an override (any value ≥ `n_neurons` disables
+//! tiling). The intra-chunk sweep mode defaults to [`IntraChoice::Auto`],
+//! with `SPARKXD_INTRA` as an override (`off` keeps the serial sweep,
+//! `<k>` pins `k` sweep workers); every level draws from the one global
+//! thread budget (see [`WorkerReservation`]), so nesting never
+//! oversubscribes the machine to workers².
 //!
 //! # Kernel dispatch
 //!
@@ -56,7 +56,7 @@
 
 use crate::eval::NeuronLabeler;
 use crate::kernels::{Kernel, KernelChoice};
-use crate::network::{BatchState, NetworkParams, RunState};
+use crate::network::{BatchState, NetworkParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparkxd_data::Dataset;
@@ -821,8 +821,7 @@ pub(crate) fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
 /// worker's samples in batched chunks.
 ///
 /// Each worker owns one scratch and walks a contiguous slice of the
-/// dataset in groups of B through [`NetworkParams::run_batch`] (B = 1
-/// falls back to the scalar [`NetworkParams::run_sample`] path);
+/// dataset in groups of B through [`NetworkParams::run_batch`];
 /// per-sample RNG streams ([`sample_rng`]) make the aggregate
 /// bit-identical regardless of sharding, batch size or worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -881,8 +880,8 @@ impl BatchEvaluator {
         }
     }
 
-    /// Pins the batch size (ignores `SPARKXD_BATCH`); `1` forces the
-    /// scalar per-sample read path. Builder style.
+    /// Pins the batch size (ignores `SPARKXD_BATCH`); `1` presents one
+    /// sample per `run_batch` call. Builder style.
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = Some(batch.max(1));
         self
@@ -956,21 +955,6 @@ impl BatchEvaluator {
             kernel,
             intra,
         } = plan;
-        if batch <= 1 {
-            let mut state = RunState::for_params(params);
-            if let Some(kernel) = kernel {
-                state = state.with_kernel(kernel);
-            }
-            for idx in range {
-                let (image, _) = dataset.get(idx);
-                let mut rng = sample_rng(seed, idx as u64);
-                let counts = params
-                    .run_sample(&mut state, image.pixels(), &mut rng)
-                    .expect("dataset image matches configured input size");
-                sink(idx, counts);
-            }
-            return;
-        }
         let mut state = BatchState::for_params(params, batch);
         if let Some(tile) = tile {
             state = state.with_tile(tile);
@@ -1137,7 +1121,7 @@ mod tests {
         let labeler = BatchEvaluator::with_threads(1)
             .with_batch(1)
             .label_neurons(&params, &data, 4);
-        let scalar = BatchEvaluator::with_threads(1)
+        let single = BatchEvaluator::with_threads(1)
             .with_batch(1)
             .evaluate(&params, &data, &labeler, 5);
         for batch in [2, 3, 8, 17] {
@@ -1145,7 +1129,7 @@ mod tests {
                 let batched = BatchEvaluator::with_threads(threads)
                     .with_batch(batch)
                     .evaluate(&params, &data, &labeler, 5);
-                assert_eq!(scalar, batched, "batch={batch} threads={threads}");
+                assert_eq!(single, batched, "batch={batch} threads={threads}");
             }
         }
     }
@@ -1170,16 +1154,18 @@ mod tests {
     }
 
     #[test]
-    fn spike_counts_match_direct_run_sample() {
+    fn spike_counts_match_direct_run_batch() {
+        // The engine's sharding and per-sample RNG derivation must give
+        // exactly what one direct B = 1 `run_batch` call per image gives.
         let params = trained_params();
         let data = SynthDigits.generate(6, 3);
-        let mut state = RunState::for_params(&params);
+        let mut state = BatchState::for_params(&params, 1);
         let mut direct = Vec::new();
         for (idx, (image, _)) in data.iter().enumerate() {
-            let mut rng = sample_rng(9, idx as u64);
-            direct.push(
+            let mut rngs = [sample_rng(9, idx as u64)];
+            direct.extend(
                 params
-                    .run_sample(&mut state, image.pixels(), &mut rng)
+                    .run_batch(&mut state, &[image.pixels()], &mut rngs)
                     .unwrap(),
             );
         }
@@ -1324,7 +1310,7 @@ mod tests {
         let labeler = BatchEvaluator::with_threads(1)
             .with_batch(1)
             .label_neurons(&params, &data, 4);
-        let scalar = BatchEvaluator::with_threads(1)
+        let single = BatchEvaluator::with_threads(1)
             .with_batch(1)
             .evaluate(&params, &data, &labeler, 5);
         for tile in [1usize, 3, 19, 20, 64, usize::MAX] {
@@ -1333,7 +1319,7 @@ mod tests {
                     .with_batch(batch)
                     .with_tile(tile)
                     .evaluate(&params, &data, &labeler, 5);
-                assert_eq!(scalar, tiled, "tile={tile} threads={threads} batch={batch}");
+                assert_eq!(single, tiled, "tile={tile} threads={threads} batch={batch}");
             }
         }
     }

@@ -1,5 +1,5 @@
 //! Runtime-dispatched SIMD kernels for the three hot inner loops of the
-//! inference engine: member-row drive accumulation (both the `clamp_reads`
+//! simulation core: member-row drive accumulation (both the `clamp_reads`
 //! effective-weight transform and the finite-filter path), the branch-free
 //! LIF lane update, and the lateral-inhibition sweep.
 //!
@@ -202,7 +202,8 @@ impl Kernel {
         scalar::accumulate_members(drive, stride, offset, members, row_tile);
     }
 
-    /// The scalar reference path's `clamp_reads` accumulate:
+    /// The stored-row `clamp_reads` accumulate training uses (its rows
+    /// change every step, so it cannot read the plane):
     /// `drive[j] += StoredWeights::effective(row[j], w_max)` per lane
     /// (non-finite → 0, else clamped into `[0, w_max]`).
     pub fn accumulate_effective(self, drive: &mut [f32], row: &[f32], w_max: f32) {
@@ -215,7 +216,7 @@ impl Kernel {
         scalar::accumulate_effective(drive, row, w_max);
     }
 
-    /// The scalar reference path's unclamped accumulate: adds `row[j]`
+    /// The stored-row unclamped accumulate training uses: adds `row[j]`
     /// into `drive[j]` only where the weight is finite, leaving the
     /// accumulator's bits untouched (not even `+ 0.0`) elsewhere.
     pub fn accumulate_finite(self, drive: &mut [f32], row: &[f32]) {
@@ -234,10 +235,12 @@ impl Kernel {
     /// Returns whether any lane crossed, so quiet timesteps skip the
     /// firing/inhibition passes entirely.
     ///
-    /// The arithmetic mirrors [`LifState::integrate`](crate::neuron::LifState::integrate)
-    /// operation for operation (including evaluation order, so every
-    /// intermediate rounds identically) — results are bit-identical to the
-    /// scalar path. The invariance test battery guards the equivalence.
+    /// This is the simulation core's LIF update (paper Fig. 4b), used by
+    /// both inference and training. Every lane computes the textbook
+    /// per-neuron expression sequence (including evaluation order, so
+    /// every intermediate rounds identically); the invariance test
+    /// battery checks it bit for bit against the per-neuron scalar oracle
+    /// (`sparkxd_bench::oracle`).
     ///
     /// # Panics
     ///

@@ -13,6 +13,10 @@
 //!   normalisation ([`stdp`]);
 //! * unsupervised **neuron labelling and vote-based classification**
 //!   ([`eval`]);
+//! * **one simulation core**, the SoA lane step of
+//!   [`NetworkParams::run_batch`], which training also runs at B = 1
+//!   ([`network`]); an independent per-neuron scalar oracle lives with
+//!   the tests (`sparkxd_bench::oracle`);
 //! * a **parallel batch-execution engine** sharding inference across a
 //!   persistent condvar-parked [`WorkerPool`] and presenting samples in
 //!   batched chunks — with an optional intra-chunk tile-parallel drive
@@ -64,8 +68,8 @@ pub use coding::PoissonEncoder;
 pub use engine::{BatchEvaluator, IntraChoice, WorkerPool};
 pub use eval::{ClassVotes, NeuronLabeler};
 pub use kernels::{Kernel, KernelChoice};
-pub use network::{BatchState, DiehlCookNetwork, NetworkParams, RunState, SnnConfig};
-pub use neuron::{LifConfig, LifState};
+pub use network::{BatchState, DiehlCookNetwork, NetworkParams, SnnConfig};
+pub use neuron::LifConfig;
 pub use prune::prune_to_connectivity;
 pub use quant::{QuantizedImage, WeightPrecision};
 pub use stdp::StdpConfig;

@@ -10,38 +10,38 @@
 //!   derived [`EffectivePlane`] (the read-side view, rebuilt once per
 //!   corruption instance) and the adaptive thresholds. Shared by reference
 //!   across worker threads.
-//! * [`RunState`] / [`BatchState`] — per-run scratch (membrane potentials,
-//!   refractory timers, drive/fired buffers). Each worker owns one and
-//!   reuses it across samples.
+//! * [`BatchState`] — per-run scratch: SoA membrane, threshold and
+//!   refractory slabs over `[B × n_neurons]` lanes plus the drive and
+//!   spike buffers. Each worker owns one and reuses it across batches.
 //!
-//! Two inference entry points exist: [`NetworkParams::run_sample`], the
-//! scalar reference path that reads [`StoredWeights`] through the synapse
-//! rule on every access (exactly the pre-split behaviour), and
-//! [`NetworkParams::run_batch`], which presents B samples together and
-//! streams each [`EffectivePlane`] row once per batch into a
+//! There is one simulation core: the SoA lane step. Inference runs it
+//! through [`NetworkParams::run_batch`], which presents B samples together
+//! and streams each [`EffectivePlane`] row once per batch into a
 //! `[B × n_neurons]` drive matrix, swept in cache-sized neuron tiles
 //! (`SPARKXD_TILE`) so the resident working set stays L1-sized at the
-//! paper's N3600. Per-sample RNG streams keep the two **bit-identical**
-//! for any batch size and tile width.
+//! paper's N3600. Training runs the same lane step on a one-sample
+//! [`BatchState`], reading the stored rows STDP rewrites every timestep.
+//! Per-sample RNG streams keep inference **bit-identical** for any batch
+//! size and tile width; the test suites prove it against an independent
+//! per-neuron scalar oracle (`sparkxd_bench::oracle`).
 //!
-//! Both paths execute their hot inner loops (drive accumulation, LIF lane
-//! integration, the inhibition sweep) through the runtime-dispatched
+//! The hot inner loops (drive accumulation, LIF lane integration, the
+//! inhibition sweep) run through the runtime-dispatched
 //! [`Kernel`](crate::kernels::Kernel) layer — portable scalar or x86_64
-//! AVX2, selected by `SPARKXD_KERNEL` / [`BatchState::with_kernel`] /
-//! [`RunState::with_kernel`] — whose lanes compute the exact scalar IEEE
-//! sequence, so the kernel choice never changes results either.
+//! AVX2, selected by `SPARKXD_KERNEL` / [`BatchState::with_kernel`] —
+//! whose lanes compute the exact scalar IEEE sequence, so the kernel
+//! choice never changes results either.
 //!
 //! [`DiehlCookNetwork`] composes the parameters with the STDP learning
-//! state and keeps the training-facing API (`train_epoch`, `run_sample`
-//! with `learn = true`); its inference entry points (`evaluate`,
-//! `label_neurons`) delegate to the
+//! state and keeps the training-facing API (`train_epoch`); its inference
+//! entry points (`evaluate`, `label_neurons`) delegate to the
 //! [`BatchEvaluator`](crate::engine::BatchEvaluator).
 
 use crate::coding::PoissonEncoder;
 use crate::engine::{BatchEvaluator, IntraChoice};
 use crate::eval::NeuronLabeler;
 use crate::kernels::{Kernel, KernelChoice, LifLanes};
-use crate::neuron::{LifConfig, LifState};
+use crate::neuron::LifConfig;
 use crate::stdp::{StdpConfig, StdpState};
 use crate::synapse::{EffectivePlane, StoredWeights};
 use crate::SnnError;
@@ -127,9 +127,8 @@ impl SnnConfig {
 /// synaptic storage plus its derived read plane, and the adaptive
 /// thresholds learned during training.
 ///
-/// Inference is a pure function of `(params, sample, rng)` — see
-/// [`NetworkParams::run_sample`] / [`NetworkParams::run_batch`] — so a
-/// `&NetworkParams` can be shared by any number of worker threads, each
+/// Inference is a pure function of `(params, samples, rngs)` — see
+/// [`NetworkParams::run_batch`] — so a `&NetworkParams` can be shared by any number of worker threads, each
 /// driving its own scratch.
 ///
 /// Every mutation path ([`set_weights`](Self::set_weights),
@@ -175,7 +174,7 @@ impl NetworkParams {
         &self.weights
     }
 
-    /// The derived read-side plane the batched hot path consumes.
+    /// The derived read-side plane inference consumes.
     pub fn effective_plane(&self) -> &EffectivePlane {
         &self.plane
     }
@@ -232,44 +231,6 @@ impl NetworkParams {
         &self.thetas
     }
 
-    /// Presents one image for `config.timesteps` steps without learning.
-    ///
-    /// This is the scalar reference path: it reads the stored weights
-    /// through the synapse rule on every access. `state` is reset at
-    /// entry, so any (correctly sized) scratch can be reused across
-    /// samples and threads; `self` is untouched. Returns the per-neuron
-    /// spike counts.
-    ///
-    /// # Errors
-    ///
-    /// [`SnnError::InputSizeMismatch`] if `pixels` does not match the
-    /// configured input size.
-    pub fn run_sample(
-        &self,
-        state: &mut RunState,
-        pixels: &[f32],
-        rng: &mut StdRng,
-    ) -> Result<Vec<u32>, SnnError> {
-        if pixels.len() != self.config.n_inputs {
-            return Err(SnnError::InputSizeMismatch {
-                provided: pixels.len(),
-                expected: self.config.n_inputs,
-            });
-        }
-        let mut counts = vec![0u32; self.config.n_neurons];
-        state.begin_sample(&self.config, &self.thetas);
-        let kernel = state.kernel.unwrap_or_else(crate::engine::kernel);
-        for _ in 0..self.config.timesteps {
-            self.config
-                .encoder
-                .encode_step(pixels, rng, &mut state.active);
-            state.accumulate_drive(&self.config, &self.weights, kernel);
-            state.resolve_firing(&self.config, &mut counts);
-            state.apply_inhibition(&self.config);
-        }
-        Ok(counts)
-    }
-
     /// Presents a chunk of `samples` together for `config.timesteps`
     /// steps without learning, one RNG stream per sample.
     ///
@@ -302,11 +263,11 @@ impl NetworkParams {
     /// global thread budget is exhausted.
     ///
     /// Because sample `b` only ever consumes `rngs[b]`, per-sample
-    /// accumulation visits rows in the same ascending order as the scalar
-    /// path within every tile, and each membrane lane's arithmetic is
-    /// independent of the tile partition, the returned spike counts are
-    /// **bit-identical to [`run_sample`](Self::run_sample)** with the
-    /// same RNG, for any batch size and any tile width.
+    /// accumulation visits rows in ascending order within every tile, and
+    /// each membrane lane's arithmetic is independent of the tile
+    /// partition, the returned spike counts for a sample are
+    /// **bit-identical** for any batch size and any tile width — B = 1
+    /// included.
     ///
     /// # Errors
     ///
@@ -660,10 +621,10 @@ unsafe fn sweep_lane_range(
 
 /// Commits this timestep's spikes for one sample slab: under soft WTA
 /// every crossing lane fires; under hard WTA only the lane with the
-/// largest threshold margin does (ties keep the lowest index, as in the
-/// scalar path). Firing lanes reset, raise theta and enter refractory —
-/// exactly [`LifState::fire`].
-fn commit_firing_slab(
+/// largest threshold margin does (ties keep the lowest index). Firing
+/// lanes reset to `v_reset`, raise theta by `theta_plus` and enter the
+/// refractory period (paper Fig. 4b).
+pub(crate) fn commit_firing_slab(
     config: &SnnConfig,
     v: &mut [f32],
     theta: &mut [f32],
@@ -686,7 +647,7 @@ fn commit_firing_slab(
         let mut winner: Option<(usize, f32)> = None;
         for (j, &c) in crossed.iter().enumerate() {
             if c {
-                // Same expression as LifState::threshold_margin on the
+                // Margin above the adaptive threshold, on the
                 // post-integration state.
                 let margin = v[j] - (lif.v_thresh + theta[j]);
                 if winner.is_none_or(|(_, best)| margin > best) {
@@ -706,8 +667,9 @@ fn commit_firing_slab(
     }
 }
 
-/// Lateral inhibition over one sample slab — exactly
-/// [`LifState::inhibit`] applied to every non-firing lane.
+/// Lateral inhibition over one sample slab: every non-firing lane is
+/// hyperpolarised by `inhibition_mv` per spike this timestep, floored at
+/// [`LifConfig::inhibition_floor`].
 ///
 /// `fired` is sorted ascending and deduplicated (it comes from
 /// [`commit_firing_slab`]'s index walk), so instead of building a dense
@@ -731,168 +693,11 @@ fn inhibit_slab(config: &SnnConfig, kernel: Kernel, v: &mut [f32], fired: &[usiz
     kernel.inhibit_lanes(&mut v[start..], strength, floor);
 }
 
-/// Integrates one sample's drive and resolves who fires (soft or hard
-/// WTA), recording spikes into `fired` (cleared first) and `counts` — the
-/// scalar (AoS) reference implementation driven by [`RunState`].
-fn resolve_firing_step(
-    config: &SnnConfig,
-    neurons: &mut [LifState],
-    drive: &[f32],
-    fired: &mut Vec<usize>,
-    counts: &mut [u32],
-) {
-    fired.clear();
-    if config.hard_wta {
-        let mut winner: Option<(usize, f32)> = None;
-        for (j, neuron) in neurons.iter_mut().enumerate() {
-            if neuron.integrate(&config.lif, drive[j], config.dt_ms) {
-                let margin = neuron.threshold_margin(&config.lif);
-                if winner.is_none_or(|(_, best)| margin > best) {
-                    winner = Some((j, margin));
-                }
-            }
-        }
-        if let Some((j, _)) = winner {
-            neurons[j].fire(&config.lif);
-            fired.push(j);
-            counts[j] += 1;
-        }
-    } else {
-        for (j, neuron) in neurons.iter_mut().enumerate() {
-            if neuron.step(&config.lif, drive[j], config.dt_ms) {
-                fired.push(j);
-                counts[j] += 1;
-            }
-        }
-    }
-}
-
-/// Lateral inhibition: every spike hyperpolarises all other neurons,
-/// enforcing competition. `is_fired` is scratch sized to the population.
-fn apply_inhibition_step(
-    config: &SnnConfig,
-    neurons: &mut [LifState],
-    fired: &[usize],
-    is_fired: &mut [bool],
-) {
-    if fired.is_empty() {
-        return;
-    }
-    let strength = config.inhibition_mv * fired.len() as f32;
-    is_fired.fill(false);
-    for &j in fired {
-        is_fired[j] = true;
-    }
-    for (j, neuron) in neurons.iter_mut().enumerate() {
-        if !is_fired[j] {
-            neuron.inhibit(&config.lif, strength);
-        }
-    }
-}
-
-/// Per-run mutable scratch of one simulation worker: membrane state,
-/// synaptic drive and spike buffers. Reused across samples — every buffer
-/// is reset by `begin_sample` — so the hot loop allocates nothing.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RunState {
-    /// Membrane state; `theta` holds a per-sample working copy of the
-    /// frozen thresholds (they decay/grow *within* a presentation window,
-    /// which must not leak back into the parameters at inference).
-    neurons: Vec<LifState>,
-    /// Synaptic drive accumulated this timestep (mV per neuron).
-    drive: Vec<f32>,
-    /// Input lines that spiked this timestep.
-    active: Vec<usize>,
-    /// Neurons that fired this timestep.
-    fired: Vec<usize>,
-    /// Dense mask of `fired` (inhibition pass).
-    is_fired: Vec<bool>,
-    /// Pinned kernel; `None` resolves from `SPARKXD_KERNEL` /
-    /// auto-detection on every [`NetworkParams::run_sample`] call.
-    kernel: Option<Kernel>,
-}
-
-impl RunState {
-    /// Scratch sized for `params`.
-    pub fn for_params(params: &NetworkParams) -> Self {
-        let mut state = Self::default();
-        state.begin_sample(&params.config, &params.thetas);
-        state
-    }
-
-    /// Pins the hot-loop kernel (ignores `SPARKXD_KERNEL`); the request
-    /// resolves through runtime feature detection, so an unsupported
-    /// request degrades to the portable kernel. Builder style; never
-    /// changes results, only wall time.
-    pub fn with_kernel(mut self, kernel: KernelChoice) -> Self {
-        self.kernel = Some(kernel.resolve());
-        self
-    }
-
-    /// The neurons that fired in the most recent timestep.
-    pub fn last_fired(&self) -> &[usize] {
-        &self.fired
-    }
-
-    /// Resets membrane state for a fresh sample: potentials to rest,
-    /// refractory timers cleared, thresholds copied from `thetas`.
-    fn begin_sample(&mut self, config: &SnnConfig, thetas: &[f32]) {
-        let n = thetas.len();
-        self.neurons.resize(n, LifState::default());
-        self.drive.resize(n, 0.0);
-        self.is_fired.resize(n, false);
-        for (neuron, &theta) in self.neurons.iter_mut().zip(thetas) {
-            *neuron = LifState {
-                v: config.lif.v_rest,
-                theta,
-                refractory_left: 0.0,
-            };
-        }
-        self.active.clear();
-        self.fired.clear();
-    }
-
-    /// Accumulates this timestep's synaptic drive from the active inputs,
-    /// reading the stored weights through the synapse rule on every access
-    /// (the scalar reference path). The per-lane transform runs through
-    /// the same [`Kernel`] entry points as the batched path, so the two
-    /// stay op-for-op comparable under any dispatch choice.
-    fn accumulate_drive(&mut self, config: &SnnConfig, weights: &StoredWeights, kernel: Kernel) {
-        self.drive.fill(0.0);
-        let w_max = weights.w_max();
-        for &i in &self.active {
-            let row = weights.fan_out(i);
-            if config.clamp_reads {
-                kernel.accumulate_effective(&mut self.drive, row, w_max);
-            } else {
-                kernel.accumulate_finite(&mut self.drive, row);
-            }
-        }
-    }
-
-    /// Integrates the drive and resolves who fires (soft or hard WTA),
-    /// recording spikes into `fired` and `counts`.
-    fn resolve_firing(&mut self, config: &SnnConfig, counts: &mut [u32]) {
-        resolve_firing_step(
-            config,
-            &mut self.neurons,
-            &self.drive,
-            &mut self.fired,
-            counts,
-        );
-    }
-
-    /// Lateral inhibition: every spike hyperpolarises all other neurons,
-    /// enforcing competition.
-    fn apply_inhibition(&mut self, config: &SnnConfig) {
-        apply_inhibition_step(config, &mut self.neurons, &self.fired, &mut self.is_fired);
-    }
-}
-
-/// Per-worker scratch of the batched inference path: SoA membrane and
-/// drive matrices over `[B × n_neurons]`, plus per-sample spike lists.
-/// Reused across batches; `run_batch` resizes it to the presented batch,
-/// so the final (short) chunk of a dataset needs no separate state.
+/// Per-worker scratch of the simulation core: SoA membrane and drive
+/// matrices over `[B × n_neurons]`, plus per-sample spike lists. Reused
+/// across batches; `run_batch` resizes it to the presented batch, so the
+/// final (short) chunk of a dataset needs no separate state, and training
+/// runs on it at B = 1.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchState {
     /// Membrane potentials, sample-major (`[b * n_neurons + j]`).
@@ -1110,42 +915,19 @@ impl DiehlCookNetwork {
         self.params.thetas()
     }
 
-    /// Presents one image for `config.timesteps` steps.
+    /// Training-mode presentation of one sample on the simulation core's
+    /// lane step at B = 1, reusing `state` scratch.
     ///
-    /// Returns per-neuron spike counts. When `learn` is set, STDP updates
-    /// and per-sample weight normalisation are applied and the adaptive
-    /// thresholds persist; otherwise this is exactly
-    /// [`NetworkParams::run_sample`] on a fresh scratch and the network is
-    /// left unchanged.
-    ///
-    /// # Errors
-    ///
-    /// [`SnnError::InputSizeMismatch`] if `pixels` does not match the
-    /// configured input size.
-    pub fn run_sample(
-        &mut self,
-        pixels: &[f32],
-        rng: &mut StdRng,
-        learn: bool,
-    ) -> Result<Vec<u32>, SnnError> {
-        if !learn {
-            let mut state = RunState::for_params(&self.params);
-            return self.params.run_sample(&mut state, pixels, rng);
-        }
-        let mut state = RunState::default();
-        let counts = self.train_sample(&mut state, pixels, rng)?;
-        self.params.rebuild_plane();
-        Ok(counts)
-    }
-
-    /// Training-mode presentation of one sample, reusing `state` scratch.
-    ///
-    /// Mutates the stored weights directly and leaves the effective plane
-    /// stale — callers must finish with `params.rebuild_plane()` before
-    /// the parameters are read again.
+    /// Per timestep: encode, STDP trace decay and pre-spike update, drive
+    /// from the stored rows (STDP rewrites them every step, so the plane
+    /// would be stale), the lane integration, the firing commit, the
+    /// post-spike update, then lateral inhibition. Mutates the stored
+    /// weights directly and leaves the effective plane stale — callers
+    /// must finish with `params.rebuild_plane()` before the parameters
+    /// are read again.
     fn train_sample(
         &mut self,
-        state: &mut RunState,
+        state: &mut BatchState,
         pixels: &[f32],
         rng: &mut StdRng,
     ) -> Result<Vec<u32>, SnnError> {
@@ -1158,26 +940,57 @@ impl DiehlCookNetwork {
         }
         let config = &params.config;
         let weights = &mut params.weights;
+        let w_max = weights.w_max();
         let mut counts = vec![0u32; config.n_neurons];
-        state.begin_sample(config, &params.thetas);
+        state.begin_batch(config, &params.thetas, 1);
         let kernel = state.kernel.unwrap_or_else(crate::engine::kernel);
+        config.encoder.plan(pixels, &mut state.plans[0]);
+        let BatchState {
+            v,
+            theta,
+            refractory,
+            drive,
+            active,
+            plans,
+            crossed,
+            fired,
+            ..
+        } = state;
+        let active = &mut active[0];
         for _ in 0..config.timesteps {
-            config.encoder.encode_step(pixels, rng, &mut state.active);
+            config.encoder.encode_planned_step(&plans[0], rng, active);
             stdp.decay(config.dt_ms);
-            stdp.on_pre_spikes(weights, &state.active);
-            state.accumulate_drive(config, weights, kernel);
-            state.resolve_firing(config, &mut counts);
-            if !state.fired.is_empty() {
-                stdp.on_post_spikes(weights, &state.fired);
+            stdp.on_pre_spikes(weights, active);
+            drive.fill(0.0);
+            for &i in active.iter() {
+                let row = weights.fan_out(i);
+                if config.clamp_reads {
+                    kernel.accumulate_effective(drive, row, w_max);
+                } else {
+                    kernel.accumulate_finite(drive, row);
+                }
             }
-            state.apply_inhibition(config);
+            let any_crossed = kernel.integrate_lanes(
+                &config.lif,
+                config.dt_ms,
+                LifLanes {
+                    v,
+                    theta,
+                    refractory,
+                    drive,
+                    crossed,
+                },
+            );
+            if any_crossed {
+                commit_firing_slab(config, v, theta, refractory, crossed, fired, &mut counts);
+                stdp.on_post_spikes(weights, fired);
+                inhibit_slab(config, kernel, v, fired);
+            }
         }
         weights.normalize_columns(config.norm_target);
         stdp.reset();
         // Thresholds are learned state: persist them across samples.
-        for (theta, neuron) in params.thetas.iter_mut().zip(&state.neurons) {
-            *theta = neuron.theta;
-        }
+        params.thetas.copy_from_slice(theta);
         Ok(counts)
     }
 
@@ -1196,7 +1009,7 @@ impl DiehlCookNetwork {
     /// datasets in this workspace always do).
     pub fn train_epoch(&mut self, dataset: &Dataset, seed: u64) -> u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut state = RunState::default();
+        let mut state = BatchState::default();
         let mut total = 0u64;
         for (image, _) in dataset.iter() {
             let counts = self
@@ -1233,23 +1046,31 @@ mod tests {
         DiehlCookNetwork::new(SnnConfig::for_neurons(20).with_timesteps(30))
     }
 
+    /// One sample through the simulation core at B = 1 on fresh scratch.
+    fn run_one(params: &NetworkParams, pixels: &[f32], rng: StdRng) -> Result<Vec<u32>, SnnError> {
+        let mut state = BatchState::for_params(params, 1);
+        let mut counts = params.run_batch(&mut state, &[pixels], &mut [rng])?;
+        Ok(counts.pop().expect("one sample in, one count vector out"))
+    }
+
     #[test]
     fn network_produces_spikes_on_input() {
-        let mut net = small_net();
+        let net = small_net();
         let data = SynthDigits.generate(5, 1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let counts = net
-            .run_sample(data.get(0).0.pixels(), &mut rng, false)
-            .unwrap();
+        let counts = run_one(
+            net.params(),
+            data.get(0).0.pixels(),
+            StdRng::seed_from_u64(2),
+        )
+        .unwrap();
         assert!(counts.iter().sum::<u32>() > 0, "some neuron should fire");
     }
 
     #[test]
     fn blank_input_produces_no_spikes() {
-        let mut net = small_net();
+        let net = small_net();
         let blank = vec![0.0f32; 784];
-        let mut rng = StdRng::seed_from_u64(2);
-        let counts = net.run_sample(&blank, &mut rng, false).unwrap();
+        let counts = run_one(net.params(), &blank, StdRng::seed_from_u64(2)).unwrap();
         assert_eq!(counts.iter().sum::<u32>(), 0);
     }
 
@@ -1257,11 +1078,10 @@ mod tests {
     fn wrong_input_size_is_an_error() {
         let mut net = small_net();
         let mut rng = StdRng::seed_from_u64(2);
-        let err = net.run_sample(&[0.0; 10], &mut rng, false);
+        let err = net.train_sample(&mut BatchState::default(), &[0.0; 10], &mut rng);
         assert!(matches!(err, Err(SnnError::InputSizeMismatch { .. })));
         let params = net.params().clone();
-        let mut state = RunState::for_params(&params);
-        let err = params.run_sample(&mut state, &[0.0; 10], &mut rng);
+        let err = run_one(&params, &[0.0; 10], StdRng::seed_from_u64(2));
         assert!(matches!(err, Err(SnnError::InputSizeMismatch { .. })));
         let mut batch_state = BatchState::for_params(&params, 2);
         let good = vec![0.0f32; 784];
@@ -1305,18 +1125,13 @@ mod tests {
     fn training_leaves_plane_consistent() {
         let mut net = small_net();
         let data = SynthDigits.generate(10, 3);
-        net.train_epoch(&data, 4);
-        assert!(net
-            .params()
-            .effective_plane()
-            .is_consistent_with(net.weights()));
-        let mut rng = StdRng::seed_from_u64(5);
-        net.run_sample(data.get(0).0.pixels(), &mut rng, true)
-            .unwrap();
-        assert!(net
-            .params()
-            .effective_plane()
-            .is_consistent_with(net.weights()));
+        for seed in [4, 5] {
+            net.train_epoch(&data, seed);
+            assert!(net
+                .params()
+                .effective_plane()
+                .is_consistent_with(net.weights()));
+        }
     }
 
     #[test]
@@ -1325,164 +1140,14 @@ mod tests {
         let data = SynthDigits.generate(10, 3);
         net.train_epoch(&data, 4);
         let before = net.clone();
-        let mut rng = StdRng::seed_from_u64(9);
-        net.run_sample(data.get(0).0.pixels(), &mut rng, false)
-            .unwrap();
+        run_one(
+            net.params(),
+            data.get(0).0.pixels(),
+            StdRng::seed_from_u64(9),
+        )
+        .unwrap();
         let _ = net.evaluate(&data, &net.label_neurons(&data, 5), 6);
         assert_eq!(net, before, "inference must not mutate the network");
-    }
-
-    #[test]
-    fn params_run_sample_matches_network_inference() {
-        let mut net = small_net();
-        let data = SynthDigits.generate(10, 3);
-        net.train_epoch(&data, 4);
-        let mut rng_a = StdRng::seed_from_u64(11);
-        let via_net = net
-            .run_sample(data.get(0).0.pixels(), &mut rng_a, false)
-            .unwrap();
-        let mut rng_b = StdRng::seed_from_u64(11);
-        let mut state = RunState::for_params(net.params());
-        let via_params = net
-            .params()
-            .run_sample(&mut state, data.get(0).0.pixels(), &mut rng_b)
-            .unwrap();
-        assert_eq!(via_net, via_params);
-    }
-
-    #[test]
-    fn run_state_reuse_is_bit_identical_to_fresh_state() {
-        let mut net = small_net();
-        let data = SynthDigits.generate(6, 3);
-        net.train_epoch(&data, 4);
-        let params = net.params();
-        let mut reused = RunState::for_params(params);
-        for (i, (image, _)) in data.iter().enumerate() {
-            let mut rng_a = StdRng::seed_from_u64(100 + i as u64);
-            let mut rng_b = StdRng::seed_from_u64(100 + i as u64);
-            let with_reuse = params
-                .run_sample(&mut reused, image.pixels(), &mut rng_a)
-                .unwrap();
-            let mut fresh = RunState::for_params(params);
-            let with_fresh = params
-                .run_sample(&mut fresh, image.pixels(), &mut rng_b)
-                .unwrap();
-            assert_eq!(with_reuse, with_fresh, "sample {i}");
-        }
-    }
-
-    /// Scalar reference for a dataset prefix: one `run_sample` per image,
-    /// RNG stream `(seed, index)`.
-    fn scalar_counts(params: &NetworkParams, data: &Dataset, n: usize, seed: u64) -> Vec<Vec<u32>> {
-        let mut state = RunState::for_params(params);
-        (0..n)
-            .map(|idx| {
-                let mut rng = sample_rng(seed, idx as u64);
-                params
-                    .run_sample(&mut state, data.get(idx).0.pixels(), &mut rng)
-                    .unwrap()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn run_batch_is_bit_identical_to_run_sample_for_any_batch_size() {
-        let mut net = small_net();
-        let data = SynthDigits.generate(17, 3);
-        net.train_epoch(&data, 4);
-        let params = net.params();
-        let reference = scalar_counts(params, &data, 17, 77);
-        for batch in [1usize, 2, 3, 8, 17] {
-            let mut state = BatchState::for_params(params, batch);
-            let mut got = Vec::new();
-            let mut start = 0;
-            while start < 17 {
-                let end = (start + batch).min(17);
-                let pixels: Vec<&[f32]> = (start..end).map(|i| data.get(i).0.pixels()).collect();
-                let mut rngs: Vec<StdRng> =
-                    (start..end).map(|i| sample_rng(77, i as u64)).collect();
-                got.extend(params.run_batch(&mut state, &pixels, &mut rngs).unwrap());
-                start = end;
-            }
-            assert_eq!(got, reference, "batch size {batch}");
-        }
-    }
-
-    #[test]
-    fn run_batch_is_bit_identical_for_any_tile_width() {
-        // n_neurons = 20: tile widths below, at, straddling and far above
-        // the population, including widths that do not divide it.
-        let mut net = small_net();
-        let data = SynthDigits.generate(11, 3);
-        net.train_epoch(&data, 4);
-        let params = net.params();
-        let reference = scalar_counts(params, &data, 11, 55);
-        for tile in [1usize, 2, 3, 7, 19, 20, 21, 512, usize::MAX] {
-            let mut state = BatchState::for_params(params, 4).with_tile(tile);
-            let mut got = Vec::new();
-            let mut start = 0;
-            while start < 11 {
-                let end = (start + 4).min(11);
-                let pixels: Vec<&[f32]> = (start..end).map(|i| data.get(i).0.pixels()).collect();
-                let mut rngs: Vec<StdRng> =
-                    (start..end).map(|i| sample_rng(55, i as u64)).collect();
-                got.extend(params.run_batch(&mut state, &pixels, &mut rngs).unwrap());
-                start = end;
-            }
-            assert_eq!(got, reference, "tile width {tile}");
-        }
-    }
-
-    #[test]
-    fn run_batch_matches_scalar_under_corruption_unclamped_and_hard_wta() {
-        for (clamp, hard_wta) in [(true, false), (false, false), (true, true), (false, true)] {
-            let mut config = SnnConfig::for_neurons(16)
-                .with_timesteps(25)
-                .with_clamp_reads(clamp);
-            config.hard_wta = hard_wta;
-            let mut params = NetworkParams::new(config);
-            // Hand-corrupt the store: NaN/Inf/negative/huge values exercise
-            // every branch of the read rule, plus a dead (all-zero) row.
-            params.with_weights_mut(|w| {
-                w.set(1, 3, f32::NAN);
-                w.set(2, 5, f32::INFINITY);
-                w.set(4, 0, -3.0);
-                w.set(4, 1, 9.0);
-                for j in 0..16 {
-                    w.set(10, j, 0.0);
-                }
-            });
-            let data = SynthDigits.generate(9, 6);
-            let reference = scalar_counts(&params, &data, 9, 13);
-            // tile = 5 splits n = 16 into uneven tiles, so the hard-WTA
-            // winner and the inhibition strength must be resolved across
-            // tile boundaries; tile = 16 is the untiled path.
-            for tile in [5usize, 16] {
-                let mut state = BatchState::for_params(&params, 4).with_tile(tile);
-                let mut got = Vec::new();
-                let mut start = 0;
-                while start < 9 {
-                    let end = (start + 4).min(9);
-                    let pixels: Vec<&[f32]> =
-                        (start..end).map(|i| data.get(i).0.pixels()).collect();
-                    let mut rngs: Vec<StdRng> =
-                        (start..end).map(|i| sample_rng(13, i as u64)).collect();
-                    got.extend(params.run_batch(&mut state, &pixels, &mut rngs).unwrap());
-                    start = end;
-                }
-                assert_eq!(
-                    got, reference,
-                    "clamp_reads={clamp} hard_wta={hard_wta} tile={tile}"
-                );
-            }
-            if hard_wta {
-                // The hard-WTA branch must actually decide something: at
-                // most one spike per timestep, and at least one overall.
-                let total: u32 = reference.iter().flatten().sum();
-                assert!(total > 0, "hard-WTA run produced no spikes to compare");
-                assert!(reference.iter().all(|c| c.iter().sum::<u32>() <= 25));
-            }
-        }
     }
 
     #[test]
@@ -1514,7 +1179,11 @@ mod tests {
             .unwrap();
         let mut got = a;
         got.extend(b);
-        assert_eq!(got, scalar_counts(params, &data, 5, 3));
+        // Reference: every sample on its own fresh scratch.
+        let fresh: Vec<Vec<u32>> = (0..5)
+            .map(|i| run_one(params, data.get(i).0.pixels(), sample_rng(3, i as u64)).unwrap())
+            .collect();
+        assert_eq!(got, fresh);
     }
 
     #[test]
@@ -1524,22 +1193,16 @@ mod tests {
         let mut config = SnnConfig::for_neurons(30).with_timesteps(50);
         config.inhibition_mv = 0.0;
         let data = SynthDigits.generate(1, 5);
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut free = DiehlCookNetwork::new(config.clone());
-        let free_spikes: u32 = free
-            .run_sample(data.get(0).0.pixels(), &mut rng, false)
-            .unwrap()
-            .iter()
-            .sum();
-        let mut config2 = config;
-        config2.inhibition_mv = 12.0;
-        let mut wta = DiehlCookNetwork::new(config2);
-        let mut rng2 = StdRng::seed_from_u64(6);
-        let wta_spikes: u32 = wta
-            .run_sample(data.get(0).0.pixels(), &mut rng2, false)
-            .unwrap()
-            .iter()
-            .sum();
+        let spikes = |config: SnnConfig| -> u32 {
+            let params = NetworkParams::new(config);
+            run_one(&params, data.get(0).0.pixels(), StdRng::seed_from_u64(6))
+                .unwrap()
+                .iter()
+                .sum()
+        };
+        let free_spikes = spikes(config.clone());
+        config.inhibition_mv = 12.0;
+        let wta_spikes = spikes(config);
         assert!(
             wta_spikes < free_spikes,
             "inhibition should suppress spiking ({wta_spikes} vs {free_spikes})"

@@ -1,7 +1,8 @@
 //! Property tests for the batched read path: `run_batch` (as driven by the
-//! `BatchEvaluator`) must produce bit-identical spike counts and accuracy
-//! to the scalar `run_sample` path for any (batch size, worker count,
-//! tile width, kernel, intra-sweep split) combination.
+//! `BatchEvaluator`) must produce bit-identical spike counts, accuracy
+//! and labels to the scalar oracle (`sparkxd_bench::oracle`) for any
+//! (batch size, worker count, tile width, kernel, intra-sweep split)
+//! combination, B = 1 included.
 //!
 //! Unlike `thread_invariance.rs`, these tests pin workers, batch size and
 //! tile width through the `BatchEvaluator` API rather than the
@@ -14,6 +15,7 @@ use sparkxd::snn::{
     DiehlCookNetwork, IntraChoice, KernelChoice, NetworkParams, NeuronLabeler, QuantizedImage,
     SnnConfig, WeightPrecision,
 };
+use sparkxd_bench::oracle;
 use std::sync::OnceLock;
 
 /// Applies the CI storage knob: with `SPARKXD_PRECISION=int8|int16` set,
@@ -37,9 +39,7 @@ fn fixture() -> &'static (NetworkParams, Dataset, NeuronLabeler) {
         apply_storage_precision(&mut net);
         let params = net.into_params();
         let test = SynthDigits.generate(23, 2);
-        let labeler = BatchEvaluator::with_threads(1)
-            .with_batch(1)
-            .label_neurons(&params, &test, 4);
+        let labeler = oracle::label_neurons(&params, &test, 4);
         (params, test, labeler)
     })
 }
@@ -47,9 +47,8 @@ fn fixture() -> &'static (NetworkParams, Dataset, NeuronLabeler) {
 #[test]
 fn issue_batch_sizes_are_bit_identical_to_scalar() {
     let (params, test, labeler) = fixture();
-    let scalar_eval = BatchEvaluator::with_threads(1).with_batch(1);
-    let counts_ref = scalar_eval.spike_counts(params, test, 7);
-    let accuracy_ref = scalar_eval.evaluate(params, test, labeler, 7);
+    let counts_ref = oracle::spike_counts(params, test, 7);
+    let accuracy_ref = oracle::evaluate(params, test, labeler, 7);
     // Tile widths straddle the fixture's n = 24: ragged tails (7, 23),
     // exact fit (24) and the single-tile clamp (usize::MAX).
     for batch in [1usize, 3, 8, 17] {
@@ -93,9 +92,6 @@ proptest! {
             IntraChoice::Workers(3),
         ][intra_idx];
         let (params, test, labeler) = fixture();
-        let scalar = BatchEvaluator::with_threads(1)
-            .with_batch(1)
-            .with_kernel(KernelChoice::Scalar);
         let batched = BatchEvaluator::with_threads(threads)
             .with_batch(batch)
             .with_tile(tile)
@@ -103,14 +99,14 @@ proptest! {
             .with_intra(intra);
         prop_assert_eq!(
             batched.spike_counts(params, test, seed),
-            scalar.spike_counts(params, test, seed)
+            oracle::spike_counts(params, test, seed)
         );
         prop_assert_eq!(
             batched.evaluate(params, test, labeler, seed),
-            scalar.evaluate(params, test, labeler, seed)
+            oracle::evaluate(params, test, labeler, seed)
         );
         let batched_labels = batched.label_neurons(params, test, seed);
-        let scalar_labels = scalar.label_neurons(params, test, seed);
+        let scalar_labels = oracle::label_neurons(params, test, seed);
         prop_assert_eq!(batched_labels.assignments(), scalar_labels.assignments());
     }
 }

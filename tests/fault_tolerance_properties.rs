@@ -1,11 +1,9 @@
 //! Property-style integration tests on the fault-injection / SNN interface.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sparkxd::data::{SynthDigits, SyntheticSource};
 use sparkxd::error::{ErrorModel, Injector};
-use sparkxd::snn::{DiehlCookNetwork, SnnConfig, StoredWeights};
+use sparkxd::snn::{BatchEvaluator, DiehlCookNetwork, SnnConfig, StoredWeights};
 
 fn tiny_trained_net() -> (DiehlCookNetwork, sparkxd::snn::NeuronLabeler) {
     let train = SynthDigits.generate(60, 1);
@@ -42,17 +40,12 @@ fn clamped_network_never_panics_under_extreme_corruption() {
 
 #[test]
 fn spike_counts_are_reproducible_for_equal_seeds() {
-    let (mut net, _) = tiny_trained_net();
+    let (net, _) = tiny_trained_net();
     let test = SynthDigits.generate(5, 2);
-    let run = |net: &mut DiehlCookNetwork| {
-        let mut rng = StdRng::seed_from_u64(77);
-        test.iter()
-            .map(|(img, _)| net.run_sample(img.pixels(), &mut rng, false).unwrap())
-            .collect::<Vec<_>>()
-    };
-    let a = run(&mut net);
-    let b = run(&mut net);
-    assert_eq!(a, b);
+    let run = || BatchEvaluator::from_env().spike_counts(net.params(), &test, 77);
+    let a = run();
+    assert!(a.iter().flatten().sum::<u32>() > 0, "trained net spikes");
+    assert_eq!(a, run());
 }
 
 proptest! {

@@ -25,8 +25,9 @@ use sparkxd::data::{Dataset, SynthDigits, SyntheticSource};
 use sparkxd::snn::engine::{sample_rng, BatchEvaluator};
 use sparkxd::snn::{
     BatchState, DiehlCookNetwork, IntraChoice, KernelChoice, NetworkParams, QuantizedImage,
-    RunState, SnnConfig, WeightPrecision,
+    SnnConfig, WeightPrecision,
 };
+use sparkxd_bench::oracle;
 use std::sync::OnceLock;
 
 /// Applies the CI storage knob: with `SPARKXD_PRECISION=int8|int16` set,
@@ -67,20 +68,6 @@ fn fixture() -> &'static (NetworkParams, Dataset) {
     })
 }
 
-/// Per-sample scalar reference counts: one `run_sample` per image — the
-/// unchanged oracle every batched/tiled/intra path must reproduce.
-fn scalar_counts(params: &NetworkParams, data: &Dataset, seed: u64) -> Vec<Vec<u32>> {
-    let mut state = RunState::for_params(params);
-    (0..data.len())
-        .map(|idx| {
-            let mut rng = sample_rng(seed, idx as u64);
-            params
-                .run_sample(&mut state, data.get(idx).0.pixels(), &mut rng)
-                .unwrap()
-        })
-        .collect()
-}
-
 /// Batched counts at one (intra, kernel, batch, tile) point.
 fn intra_counts(
     params: &NetworkParams,
@@ -110,7 +97,7 @@ fn intra_counts(
 #[test]
 fn issue_intra_matrix_is_bit_identical_to_scalar_reference() {
     let (params, data) = fixture();
-    let reference = scalar_counts(params, data, 31);
+    let reference = oracle::spike_counts(params, data, 31);
     // Workers(2/3/5) force real multi-worker splits regardless of host
     // cores (explicit pins oversubscribe deliberately, like
     // SPARKXD_THREADS); Auto exercises the budget-sized path — which may
@@ -152,7 +139,7 @@ fn hard_wta_winner_is_resolved_across_worker_boundaries() {
     config.hard_wta = true;
     let params = NetworkParams::new(config);
     let data = SynthDigits.generate(7, 5);
-    let reference = scalar_counts(&params, &data, 9);
+    let reference = oracle::spike_counts(&params, &data, 9);
     let total: u32 = reference.iter().flatten().sum();
     assert!(total > 0, "hard-WTA fixture must actually spike");
     for intra in [
@@ -178,12 +165,8 @@ fn membrane_words_are_bit_identical_lane_by_lane() {
     // plus labels, across the intra axis driven through the evaluator
     // stack (which also layers chunk sharding on top of the sweep).
     let (params, data) = fixture();
-    let scalar = BatchEvaluator::with_threads(1)
-        .with_batch(1)
-        .with_kernel(KernelChoice::Scalar)
-        .with_intra(IntraChoice::Off);
-    let labels_ref = scalar.label_neurons(params, data, 5);
-    let accuracy_ref = scalar.evaluate(params, data, &labels_ref, 5);
+    let labels_ref = oracle::label_neurons(params, data, 5);
+    let accuracy_ref = oracle::evaluate(params, data, &labels_ref, 5);
     for intra in [
         IntraChoice::Auto,
         IntraChoice::Workers(2),
@@ -208,8 +191,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Any (intra, kernel, batch, thread, tile, seed) point — the full
-    /// five-axis matrix from the issue, driven through the complete
-    /// `BatchEvaluator` sharding stack — matches the scalar serial path.
+    /// five-axis matrix, driven through the complete `BatchEvaluator`
+    /// sharding stack — matches the scalar oracle.
     #[test]
     fn arbitrary_intra_points_match_scalar(
         intra_idx in 0usize..5,
@@ -228,10 +211,6 @@ proptest! {
         ][intra_idx];
         let kernel = [KernelChoice::Scalar, KernelChoice::Auto, KernelChoice::Avx2][kernel_idx];
         let (params, data) = fixture();
-        let scalar = BatchEvaluator::with_threads(1)
-            .with_batch(1)
-            .with_kernel(KernelChoice::Scalar)
-            .with_intra(IntraChoice::Off);
         let split = BatchEvaluator::with_threads(threads)
             .with_batch(batch)
             .with_tile(tile)
@@ -239,14 +218,14 @@ proptest! {
             .with_intra(intra);
         prop_assert_eq!(
             split.spike_counts(params, data, seed),
-            scalar.spike_counts(params, data, seed)
+            oracle::spike_counts(params, data, seed)
         );
-        let scalar_labels = scalar.label_neurons(params, data, seed);
+        let scalar_labels = oracle::label_neurons(params, data, seed);
         let split_labels = split.label_neurons(params, data, seed);
         prop_assert_eq!(split_labels.assignments(), scalar_labels.assignments());
         prop_assert_eq!(
             split.evaluate(params, data, &scalar_labels, seed),
-            scalar.evaluate(params, data, &scalar_labels, seed)
+            oracle::evaluate(params, data, &scalar_labels, seed)
         );
     }
 }

@@ -18,8 +18,9 @@ use sparkxd::snn::engine::{sample_rng, BatchEvaluator};
 use sparkxd::snn::kernels::LifLanes;
 use sparkxd::snn::{
     BatchState, DiehlCookNetwork, IntraChoice, Kernel, KernelChoice, LifConfig, NetworkParams,
-    QuantizedImage, RunState, SnnConfig, WeightPrecision,
+    QuantizedImage, SnnConfig, WeightPrecision,
 };
+use sparkxd_bench::oracle;
 use std::sync::OnceLock;
 
 /// A bank of adversarial f32 words: quiet NaN, both infinities, signed
@@ -196,20 +197,6 @@ fn fixture() -> &'static (NetworkParams, Dataset) {
     })
 }
 
-/// Per-sample scalar reference counts on the pinned portable kernel —
-/// the unchanged `run_sample` oracle.
-fn scalar_counts(params: &NetworkParams, data: &Dataset, seed: u64) -> Vec<Vec<u32>> {
-    let mut state = RunState::for_params(params).with_kernel(KernelChoice::Scalar);
-    (0..data.len())
-        .map(|idx| {
-            let mut rng = sample_rng(seed, idx as u64);
-            params
-                .run_sample(&mut state, data.get(idx).0.pixels(), &mut rng)
-                .unwrap()
-        })
-        .collect()
-}
-
 /// Batched counts at one (kernel, batch, tile) point.
 fn batched_counts(
     params: &NetworkParams,
@@ -237,7 +224,7 @@ fn batched_counts(
 #[test]
 fn issue_kernel_matrix_is_bit_identical_to_scalar_reference() {
     let (params, data) = fixture();
-    let reference = scalar_counts(params, data, 31);
+    let reference = oracle::spike_counts(params, data, 31);
     // Auto and Avx2 resolve to whatever the host supports (Avx2 falls
     // back to scalar off-AVX2 hosts, so the matrix is portable); tile
     // widths pin the same boundary shapes as `tile_invariance.rs`.
@@ -271,7 +258,7 @@ proptest! {
 
     /// Any (kernel, batch, thread, tile, intra, seed) point — driven
     /// through the full `BatchEvaluator` sharding stack — matches the
-    /// pinned-scalar serial path on labels, tiers and spike counts.
+    /// kernel-free scalar oracle on labels, accuracy and spike counts.
     #[test]
     fn arbitrary_kernel_points_match_scalar(
         kernel_idx in 0usize..3,
@@ -289,9 +276,6 @@ proptest! {
             IntraChoice::Workers(3),
         ][intra_idx];
         let (params, data) = fixture();
-        let scalar = BatchEvaluator::with_threads(1)
-            .with_batch(1)
-            .with_kernel(KernelChoice::Scalar);
         let simd = BatchEvaluator::with_threads(threads)
             .with_batch(batch)
             .with_tile(tile)
@@ -299,14 +283,14 @@ proptest! {
             .with_intra(intra);
         prop_assert_eq!(
             simd.spike_counts(params, data, seed),
-            scalar.spike_counts(params, data, seed)
+            oracle::spike_counts(params, data, seed)
         );
-        let scalar_labels = scalar.label_neurons(params, data, seed);
+        let scalar_labels = oracle::label_neurons(params, data, seed);
         let simd_labels = simd.label_neurons(params, data, seed);
         prop_assert_eq!(simd_labels.assignments(), scalar_labels.assignments());
         prop_assert_eq!(
             simd.evaluate(params, data, &scalar_labels, seed),
-            scalar.evaluate(params, data, &scalar_labels, seed)
+            oracle::evaluate(params, data, &scalar_labels, seed)
         );
     }
 }

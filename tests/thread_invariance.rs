@@ -1,11 +1,11 @@
 //! Thread-count, batch-size, tile-width and kernel invariance: the parallel
 //! engine derives each sample's RNG from `(seed, sample_index)` and
 //! merges order-independent aggregates, and the batched read path
-//! accumulates per-sample drive in the same ascending-row order as the
-//! scalar path regardless of how the neuron axis is tiled — so a
+//! accumulates per-sample drive in the same ascending-row order for any
+//! batch size and however the neuron axis is tiled — so a
 //! `PipelineOutcome` must be bit-identical whether the engine runs on
-//! 1 worker or many, scalar (B = 1) or batched (any B), one drive tile
-//! or many, or the machine defaults.
+//! 1 worker or many, one sample at a time (B = 1) or batched (any B),
+//! one drive tile or many, or the machine defaults.
 //!
 //! This file holds a single `#[test]` on purpose: `SPARKXD_THREADS`,
 //! `SPARKXD_BATCH`, `SPARKXD_TILE`, `SPARKXD_KERNEL`, `SPARKXD_INTRA`
@@ -81,9 +81,9 @@ fn run_with(
 
 #[test]
 fn pipeline_outcome_is_bit_identical_across_thread_and_batch_counts() {
-    // Scalar serial reference: 1 worker, batch size 1 (the pre-split
-    // per-sample read path), default tiling, portable kernel, serial
-    // sweep, telemetry off.
+    // Serial reference: 1 worker, batch size 1 (one sample per
+    // `run_batch` call), default tiling, portable kernel, serial sweep,
+    // telemetry off.
     let reference = run_with(
         Some("1"),
         Some("1"),
@@ -93,7 +93,7 @@ fn pipeline_outcome_is_bit_identical_across_thread_and_batch_counts() {
         Some("off"),
     );
     // Derived PartialEq compares every f64 exactly: any order-dependent
-    // reduction, shared RNG stream, or scalar/batched read-path divergence
+    // reduction, shared RNG stream, or batch-size read-path divergence
     // would show up here. Tile widths straddle the 20-neuron config:
     // single-lane tiles, a ragged 7-wide sweep, and an oversized width
     // that clamps back to one tile. The kernel axis crosses the same
@@ -151,7 +151,7 @@ fn pipeline_outcome_is_bit_identical_across_thread_and_batch_counts() {
         assert_eq!(
             reference, outcome,
             "threads={threads:?} batch={batch:?} tile={tile:?} kernel={kernel:?} \
-             intra={intra:?} telemetry={telemetry:?} diverged from scalar serial"
+             intra={intra:?} telemetry={telemetry:?} diverged from the serial reference"
         );
     }
 }

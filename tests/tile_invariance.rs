@@ -2,7 +2,8 @@
 //! the `[B × n_neurons]` drive slab in cache-sized neuron tiles
 //! (`SPARKXD_TILE` / `BatchState::with_tile`), and the partition must
 //! never change a result — spike counts, accuracy and labels stay
-//! bit-identical to the scalar `run_sample` path for **any** tile width.
+//! bit-identical to the scalar oracle (`sparkxd_bench::oracle`) for
+//! **any** tile width.
 //!
 //! The deterministic matrix pins the boundary shapes the partition can
 //! get wrong: tile width 1 (one lane per tile), widths that do not divide
@@ -19,23 +20,10 @@ use sparkxd::data::{Dataset, SynthDigits, SyntheticSource};
 use sparkxd::snn::engine::{sample_rng, BatchEvaluator};
 use sparkxd::snn::{
     BatchState, DiehlCookNetwork, IntraChoice, KernelChoice, NetworkParams, QuantizedImage,
-    RunState, SnnConfig, WeightPrecision,
+    SnnConfig, WeightPrecision,
 };
+use sparkxd_bench::oracle;
 use std::sync::OnceLock;
-
-/// Per-sample scalar reference counts: one `run_sample` per image, RNG
-/// stream `(seed, index)` — exactly what the engine derives per sample.
-fn scalar_counts(params: &NetworkParams, data: &Dataset, seed: u64) -> Vec<Vec<u32>> {
-    let mut state = RunState::for_params(params);
-    (0..data.len())
-        .map(|idx| {
-            let mut rng = sample_rng(seed, idx as u64);
-            params
-                .run_sample(&mut state, data.get(idx).0.pixels(), &mut rng)
-                .unwrap()
-        })
-        .collect()
-}
 
 /// Batched counts at one (batch, tile) point via `BatchState::with_tile`.
 fn tiled_counts(
@@ -97,7 +85,7 @@ fn fixture() -> &'static (NetworkParams, Dataset) {
 #[test]
 fn issue_tile_boundaries_are_bit_identical_to_scalar() {
     let (params, data) = fixture();
-    let reference = scalar_counts(params, data, 31);
+    let reference = oracle::spike_counts(params, data, 31);
     // 1: one lane per tile; 4/5/9: ragged tails at n = 23; 22: the last
     // lane alone in the tail tile; 23: exact fit (the untiled sweep);
     // 24 and usize::MAX: clamp back to a single tile.
@@ -121,7 +109,7 @@ fn hard_wta_winner_is_resolved_across_tile_boundaries() {
     config.hard_wta = true;
     let params = NetworkParams::new(config);
     let data = SynthDigits.generate(7, 5);
-    let reference = scalar_counts(&params, &data, 9);
+    let reference = oracle::spike_counts(&params, &data, 9);
     let total: u32 = reference.iter().flatten().sum();
     assert!(total > 0, "hard-WTA fixture must actually spike");
     for tile in [1usize, 2, 16, 17] {
@@ -133,12 +121,53 @@ fn hard_wta_winner_is_resolved_across_tile_boundaries() {
     }
 }
 
+#[test]
+fn run_batch_matches_scalar_under_corruption_unclamped_and_hard_wta() {
+    for (clamp, hard_wta) in [(true, false), (false, false), (true, true), (false, true)] {
+        let mut config = SnnConfig::for_neurons(16)
+            .with_timesteps(25)
+            .with_clamp_reads(clamp);
+        config.hard_wta = hard_wta;
+        let mut params = NetworkParams::new(config);
+        // Hand-corrupt the store: NaN/Inf/negative/huge values exercise
+        // every branch of the read rule, plus a dead (all-zero) row.
+        params.with_weights_mut(|w| {
+            w.set(1, 3, f32::NAN);
+            w.set(2, 5, f32::INFINITY);
+            w.set(4, 0, -3.0);
+            w.set(4, 1, 9.0);
+            for j in 0..16 {
+                w.set(10, j, 0.0);
+            }
+        });
+        let data = SynthDigits.generate(9, 6);
+        let reference = oracle::spike_counts(&params, &data, 13);
+        // tile = 5 splits n = 16 into uneven tiles, so the hard-WTA
+        // winner and the inhibition strength must be resolved across
+        // tile boundaries; tile = 16 is the untiled path.
+        for tile in [5usize, 16] {
+            assert_eq!(
+                tiled_counts(&params, &data, 13, 4, tile),
+                reference,
+                "clamp_reads={clamp} hard_wta={hard_wta} tile={tile}"
+            );
+        }
+        if hard_wta {
+            // The hard-WTA branch must actually decide something: at
+            // most one spike per timestep, and at least one overall.
+            let total: u32 = reference.iter().flatten().sum();
+            assert!(total > 0, "hard-WTA run produced no spikes to compare");
+            assert!(reference.iter().all(|c| c.iter().sum::<u32>() <= 25));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Any (tile, batch, thread, kernel, intra, seed) point — driven
     /// through the full `BatchEvaluator` sharding stack — matches the
-    /// scalar serial path.
+    /// scalar oracle.
     #[test]
     fn arbitrary_tile_widths_match_scalar(
         tile in 1usize..40,
@@ -156,9 +185,6 @@ proptest! {
             IntraChoice::Workers(3),
         ][intra_idx];
         let (params, data) = fixture();
-        let scalar = BatchEvaluator::with_threads(1)
-            .with_batch(1)
-            .with_kernel(KernelChoice::Scalar);
         let tiled = BatchEvaluator::with_threads(threads)
             .with_batch(batch)
             .with_tile(tile)
@@ -166,14 +192,14 @@ proptest! {
             .with_intra(intra);
         prop_assert_eq!(
             tiled.spike_counts(params, data, seed),
-            scalar.spike_counts(params, data, seed)
+            oracle::spike_counts(params, data, seed)
         );
-        let scalar_labels = scalar.label_neurons(params, data, seed);
+        let scalar_labels = oracle::label_neurons(params, data, seed);
         let tiled_labels = tiled.label_neurons(params, data, seed);
         prop_assert_eq!(tiled_labels.assignments(), scalar_labels.assignments());
         prop_assert_eq!(
             tiled.evaluate(params, data, &scalar_labels, seed),
-            scalar.evaluate(params, data, &scalar_labels, seed)
+            oracle::evaluate(params, data, &scalar_labels, seed)
         );
     }
 }
