@@ -38,7 +38,7 @@ struct Neuron {
 /// # Panics
 ///
 /// Panics if `pixels` does not match the configured input size.
-pub fn run_sample(params: &NetworkParams, pixels: &[f32], rng: &mut StdRng) -> Vec<u32> {
+fn run_sample(params: &NetworkParams, pixels: &[f32], rng: &mut StdRng) -> Vec<u32> {
     let config = params.config();
     assert_eq!(pixels.len(), config.n_inputs, "input size");
     let lif = &config.lif;
