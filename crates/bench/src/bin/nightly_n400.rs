@@ -22,7 +22,7 @@
 //! (`SPARKXD_NIGHTLY_SEED` overrides the default device seed of 42).
 
 use sparkxd_bench::{
-    append_job_summary, bench_json, oracle, precision_json, telemetry_overhead_json,
+    append_job_summary, bench_json, exec_from_env, oracle, precision_json, telemetry_overhead_json,
     telemetry_summary, write_bench_json, BenchRow, PrecisionRow,
 };
 use sparkxd_core::energy_eval::EnergyEvaluation;
@@ -35,7 +35,7 @@ use sparkxd_error::ErrorProfile;
 use sparkxd_snn::engine::{busy_peak, BatchEvaluator, DEFAULT_BATCH};
 use sparkxd_snn::kernels::avx2_supported;
 use sparkxd_snn::WeightPrecision;
-use sparkxd_snn::{DiehlCookNetwork, IntraChoice, KernelChoice, SnnConfig, WorkerPool};
+use sparkxd_snn::{DiehlCookNetwork, ExecConfig, IntraChoice, KernelChoice, SnnConfig, WorkerPool};
 use sparkxd_telemetry as telemetry;
 
 /// Samples/sec of one pass of `run` over `samples` inferences (best of
@@ -53,7 +53,7 @@ fn samples_per_sec(samples: usize, reps: usize, run: impl Fn() -> Vec<Vec<u32>>)
 /// Measures the scalar oracle vs batched (and machine-parallel batched)
 /// inference throughput on a briefly trained N400 model; returns
 /// `(scalar, batched, parallel)` in samples/sec.
-fn measure_throughput() -> (f64, f64, f64) {
+fn measure_throughput(exec: &ExecConfig) -> (f64, f64, f64) {
     let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(400).with_timesteps(50));
     net.train_epoch(&SynthDigits.generate(48, 1), 2);
     let params = net.into_params();
@@ -63,7 +63,7 @@ fn measure_throughput() -> (f64, f64, f64) {
     let batched = samples_per_sec(data.len(), 3, || {
         batched_eval.spike_counts(&params, &data, 0x7A)
     });
-    let parallel_eval = BatchEvaluator::from_env().with_batch(DEFAULT_BATCH);
+    let parallel_eval = BatchEvaluator::new(*exec).with_batch(DEFAULT_BATCH);
     let parallel = samples_per_sec(data.len(), 3, || {
         parallel_eval.spike_counts(&params, &data, 0x7A)
     });
@@ -244,15 +244,20 @@ fn measure_telemetry_overhead(samples: usize, reps: usize) -> (f64, f64) {
 }
 
 fn main() {
+    let exec = exec_from_env();
     let seed = std::env::var("SPARKXD_NIGHTLY_SEED")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(42);
-    let config = PipelineConfig::paper_network(400, DatasetKind::Digits, seed);
+    let config = PipelineConfig {
+        exec,
+        ..PipelineConfig::paper_network(400, DatasetKind::Digits, seed)
+    };
     println!(
         "nightly N400 pipeline: {} train / {} test samples, {} timesteps, device seed {seed}",
         config.train_samples, config.test_samples, config.timesteps
     );
+    println!("exec: {exec}");
     // Spans on for the pipeline leg: the nightly uploads a Chrome trace
     // of the full N400 run (all seven stage spans plus the pool and DRAM
     // replay spans beneath them). Observation only — and switched off
@@ -337,7 +342,7 @@ fn main() {
     // Engine throughput: the scalar oracle (one sample at a time) vs
     // batched (effective-plane streaming, B = DEFAULT_BATCH), single
     // thread, plus the machine-parallel batched figure.
-    let (scalar, batched, parallel) = measure_throughput();
+    let (scalar, batched, parallel) = measure_throughput(&exec);
     let ratio = batched / scalar.max(f64::MIN_POSITIVE);
     println!("inference throughput (N400, samples/sec):");
     println!("  scalar   (1 thread, oracle)       : {scalar:8.1}");

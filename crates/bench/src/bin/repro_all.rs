@@ -7,22 +7,22 @@
 //! (set `SPARKXD_SCALE=paper` for the paper's full network sizes, and
 //! `SPARKXD_THREADS=1` to force the old serial behaviour).
 
-use sparkxd_bench::{paper_sections, run_sections_with, telemetry_summary, Scale};
-use sparkxd_snn::engine::worker_count;
+use sparkxd_bench::{exec_from_env, paper_sections, run_sections_with, telemetry_summary, Scale};
 
 fn main() {
     let scale = Scale::from_env();
+    let exec = exec_from_env();
     let t0 = std::time::Instant::now();
-    let jobs = paper_sections(&scale, 42);
+    let jobs = paper_sections(&scale, &exec, 42);
     println!(
-        "SparkXD reproduction — all experiments (scale: {}, {} sections on {} workers)",
+        "SparkXD reproduction — all experiments (scale: {}, {} sections)",
         scale.label,
-        jobs.len(),
-        worker_count(jobs.len())
+        jobs.len()
     );
+    println!("exec: {exec}");
     println!("==========================================================\n");
 
-    run_sections_with(jobs, |section| {
+    run_sections_with(jobs, &exec, |section| {
         println!("## {}", section.title);
         println!("{}", section.body);
     });

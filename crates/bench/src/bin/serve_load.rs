@@ -22,8 +22,12 @@
 //! | `SPARKXD_SERVE_SCALE` | `demo` or `n400` | `demo` |
 //! | `SPARKXD_SERVE_REQUESTS` | requests per phase | 400 (demo) / 256 (n400) |
 //! | `SPARKXD_SERVE_SEED` | trace + device seed | 42 |
+//!
+//! The engine and telemetry variables (`SPARKXD_THREADS`, `SPARKXD_BATCH`,
+//! `SPARKXD_TILE`, `SPARKXD_KERNEL`, `SPARKXD_INTRA`, `SPARKXD_TELEMETRY`)
+//! resolve once into the `ExecConfig` the header prints.
 
-use sparkxd_bench::{append_job_summary, telemetry_summary, TextTable};
+use sparkxd_bench::{append_job_summary, exec_from_env, telemetry_summary, TextTable};
 use sparkxd_core::pipeline::{DatasetKind, PipelineConfig};
 use sparkxd_core::{TierBuilder, TierSet};
 use sparkxd_data::{Dataset, SynthDigits, SyntheticSource};
@@ -31,8 +35,8 @@ use sparkxd_serve::{
     arrival_trace, replay_open_loop, LoadSpec, MetricsSnapshot, RoutePolicy, ServiceConfig,
     SparkXdService,
 };
-use sparkxd_snn::engine::{busy_peak, env_usize_override, BatchEvaluator, DEFAULT_BATCH};
-use sparkxd_snn::{DiehlCookNetwork, SnnConfig, WorkerPool};
+use sparkxd_snn::engine::{busy_peak, BatchEvaluator, DEFAULT_BATCH};
+use sparkxd_snn::{DiehlCookNetwork, ExecConfig, SnnConfig, WorkerPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -75,7 +79,7 @@ impl Scale {
 /// N400 trains briefly (the nightly recipe) and builds tiers around the
 /// pre-trained model at the paper's typical `BER_th` of 1e-4 — this is a
 /// serving soak, not an accuracy experiment.
-fn build_tiers(scale: Scale, seed: u64) -> TierSet {
+fn build_tiers(scale: Scale, seed: u64, exec: &ExecConfig) -> TierSet {
     match scale {
         Scale::Demo => {
             let config = PipelineConfig {
@@ -84,6 +88,7 @@ fn build_tiers(scale: Scale, seed: u64) -> TierSet {
                 train_samples: 120,
                 test_samples: 60,
                 baseline_epochs: 2,
+                exec: *exec,
                 ..PipelineConfig::small_demo(seed)
             };
             TierBuilder::new(config).build().expect("demo tier ladder")
@@ -93,10 +98,11 @@ fn build_tiers(scale: Scale, seed: u64) -> TierSet {
                 train_samples: 48,
                 test_samples: 32,
                 timesteps: 50,
+                exec: *exec,
                 ..PipelineConfig::paper_network(400, DatasetKind::Digits, seed)
             };
             let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(400).with_timesteps(50));
-            net.train_epoch(&SynthDigits.generate(48, seed ^ 0xDA7A), 2);
+            net.train_epoch_with(&SynthDigits.generate(48, seed ^ 0xDA7A), 2, exec);
             TierBuilder::new(config)
                 .build_from_model(&net, 1e-4)
                 .expect("n400 tier ladder")
@@ -106,11 +112,11 @@ fn build_tiers(scale: Scale, seed: u64) -> TierSet {
 
 /// Offline batched throughput (samples/sec, best of `reps`) of `tier`'s
 /// model on `data` — the comparator the serving path must track.
-fn offline_samples_per_sec(tiers: &TierSet, data: &Dataset, reps: usize) -> f64 {
+fn offline_samples_per_sec(tiers: &TierSet, data: &Dataset, exec: &ExecConfig) -> f64 {
     let params = &tiers.tiers[0].params;
-    let eval = BatchEvaluator::from_env().with_batch(DEFAULT_BATCH);
+    let eval = BatchEvaluator::new(*exec).with_batch(DEFAULT_BATCH);
     let mut best = f64::MAX;
-    for _ in 0..reps.max(1) {
+    for _ in 0..3 {
         let t = Instant::now();
         std::hint::black_box(eval.spike_counts(params, data, 0x0FF));
         best = best.min(t.elapsed().as_secs_f64());
@@ -124,10 +130,11 @@ fn offline_samples_per_sec(tiers: &TierSet, data: &Dataset, reps: usize) -> f64 
 fn run_phase(
     tiers: &TierSet,
     config: ServiceConfig,
+    exec: &ExecConfig,
     data: &Dataset,
     spec: &LoadSpec,
 ) -> (MetricsSnapshot, f64) {
-    let (service, responses) = SparkXdService::start(tiers.tiers.clone(), config);
+    let (service, responses) = SparkXdService::start_with_exec(tiers.tiers.clone(), config, exec);
     let t0 = Instant::now();
     let outcome = replay_open_loop(&service, data, arrival_trace(spec, data.len()).as_slice());
     let snapshot = service.shutdown();
@@ -189,28 +196,39 @@ fn dispatch_first_kernel_ns(use_pool: bool, reps: usize) -> u64 {
     samples.get(samples.len() / 2).copied().unwrap_or(0)
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    // Same policy as Scale::from_env: an unparsable knob is a hard error,
-    // never a silent fallback to a correct-looking default.
-    let seed = match std::env::var("SPARKXD_SERVE_SEED") {
-        Err(_) => 42,
-        Ok(raw) => raw.trim().parse::<u64>().unwrap_or_else(|_| {
-            eprintln!("serve_load: unparsable SPARKXD_SERVE_SEED={raw:?} (expected a u64)");
+/// `var` parsed as a number, or `default` when unset. Same policy as
+/// `Scale::from_env`: an unparsable value is a hard error, never a silent
+/// fallback to a correct-looking default.
+fn env_number<T: std::str::FromStr>(var: &str, default: T) -> T {
+    match std::env::var(var) {
+        Err(_) => default,
+        Ok(raw) => raw.trim().parse().unwrap_or_else(|_| {
+            eprintln!("serve_load: unparsable {var}={raw:?} (expected a number)");
             std::process::exit(2);
         }),
-    };
-    let requests = env_usize_override("SPARKXD_SERVE_REQUESTS").unwrap_or(match scale {
-        Scale::Demo => 400,
-        Scale::N400 => 256,
-    });
+    }
+}
+
+fn main() {
+    let scale = Scale::from_env();
+    let exec = exec_from_env();
+    let seed = env_number("SPARKXD_SERVE_SEED", 42u64);
+    let requests = env_number(
+        "SPARKXD_SERVE_REQUESTS",
+        match scale {
+            Scale::Demo => 400usize,
+            Scale::N400 => 256,
+        },
+    )
+    .max(1);
 
     println!(
         "serve_load: scale {}, seed {seed}, {requests} requests/phase",
         scale.label()
     );
+    println!("exec: {exec}");
     let t0 = Instant::now();
-    let tiers = build_tiers(scale, seed);
+    let tiers = build_tiers(scale, seed, &exec);
     println!(
         "tier ladder built in {:.1?} ({} tiers, {} skipped, BER_th {:.0e})",
         t0.elapsed(),
@@ -239,7 +257,7 @@ fn main() {
     println!("{}", tier_table.render());
 
     let data = SynthDigits.generate(64, seed ^ 0x10AD);
-    let offline = offline_samples_per_sec(&tiers, &data, 3);
+    let offline = offline_samples_per_sec(&tiers, &data, &exec);
     println!("offline batched comparator : {offline:8.1} samples/s");
 
     // Fan-out dispatch latency, before/after the persistent pool: fresh
@@ -261,7 +279,7 @@ fn main() {
         RoutePolicy::DeadlineSlack(tiers.tiers[tiers.tiers.len() - 1].dram_pass_ns),
         RoutePolicy::AccuracyFloor(0.0),
     ];
-    let service_config = ServiceConfig::from_env()
+    let service_config = ServiceConfig::new(&exec)
         .with_max_wait(Duration::from_millis(2))
         .with_queue_bound(requests.max(1024))
         .with_spike_seed(seed ^ 0x5E7E);
@@ -273,7 +291,7 @@ fn main() {
         seed: seed ^ 0xACE1,
         policy_mix: policy_mix.clone(),
     };
-    let (paced, paced_rps) = run_phase(&tiers, service_config, &data, &paced_spec);
+    let (paced, paced_rps) = run_phase(&tiers, service_config, &exec, &data, &paced_spec);
     println!(
         "paced    ({:7.1} req/s): p50 {:7.2} ms  p95 {:7.2} ms  p99 {:7.2} ms  ({} done, {} rejected)",
         paced_spec.rate_per_sec,
@@ -291,7 +309,7 @@ fn main() {
         seed: seed ^ 0xB57,
         policy_mix,
     };
-    let (burst, burst_rps) = run_phase(&tiers, service_config, &data, &burst_spec);
+    let (burst, burst_rps) = run_phase(&tiers, service_config, &exec, &data, &burst_spec);
     let ratio = burst_rps / offline.max(f64::MIN_POSITIVE);
     println!(
         "saturate ({paced_rps:7.1} paced): {burst_rps:8.1} samples/s  ({ratio:.2}x offline batched)"

@@ -5,7 +5,7 @@ use sparkxd_core::pipeline::DatasetKind;
 use sparkxd_core::training::{FaultAwareOutcome, FaultAwareTrainer, TrainingConfig};
 use sparkxd_data::Dataset;
 use sparkxd_error::ErrorModel;
-use sparkxd_snn::{DiehlCookNetwork, NeuronLabeler, SnnConfig};
+use sparkxd_snn::{BatchEvaluator, DiehlCookNetwork, ExecConfig, NeuronLabeler, SnnConfig};
 
 /// A baseline model and its fault-aware-improved counterpart, trained on
 /// the same data.
@@ -39,8 +39,14 @@ pub fn training_config(scale: &Scale, seed: u64) -> TrainingConfig {
 }
 
 /// Trains the baseline error-free, then derives the improved model with
-/// Algorithm 1.
-pub fn train_pair(kind: DatasetKind, neurons: usize, scale: &Scale, seed: u64) -> TrainedPair {
+/// Algorithm 1, every epoch and evaluation running under `exec`.
+pub fn train_pair(
+    kind: DatasetKind,
+    neurons: usize,
+    scale: &Scale,
+    exec: &ExecConfig,
+    seed: u64,
+) -> TrainedPair {
     let train = kind.generate(scale.train_samples, seed ^ 0xDA7A);
     let test = kind.generate(scale.test_samples, seed ^ 0x7E57);
     let config = SnnConfig::for_neurons(neurons)
@@ -48,12 +54,13 @@ pub fn train_pair(kind: DatasetKind, neurons: usize, scale: &Scale, seed: u64) -
         .with_weight_seed(seed ^ 0x11);
     let mut baseline = DiehlCookNetwork::new(config);
     for epoch in 0..scale.baseline_epochs {
-        baseline.train_epoch(&train, seed ^ (0x100 + epoch as u64));
+        baseline.train_epoch_with(&train, seed ^ (0x100 + epoch as u64), exec);
     }
-    let baseline_labeler = baseline.label_neurons(&train, seed ^ 0xABCD);
+    let baseline_labeler =
+        BatchEvaluator::new(*exec).label_neurons(baseline.params(), &train, seed ^ 0xABCD);
 
     let mut improved = baseline.clone();
-    let trainer = FaultAwareTrainer::new(training_config(scale, seed));
+    let trainer = FaultAwareTrainer::new(training_config(scale, seed), *exec);
     let outcome = trainer
         .improve(&mut improved, &train, &test)
         .expect("algorithm 1 is infallible on in-memory data");
@@ -87,7 +94,13 @@ mod tests {
 
     #[test]
     fn train_pair_produces_both_models() {
-        let pair = train_pair(DatasetKind::Digits, 20, &micro_scale(), 1);
+        let pair = train_pair(
+            DatasetKind::Digits,
+            20,
+            &micro_scale(),
+            &ExecConfig::default(),
+            1,
+        );
         assert_eq!(pair.outcome.curve.len(), 5);
         assert_ne!(
             pair.baseline.weights().as_slice(),

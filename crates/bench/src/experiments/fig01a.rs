@@ -8,7 +8,7 @@
 use crate::scale::Scale;
 use crate::table::TextTable;
 use sparkxd_core::pipeline::DatasetKind;
-use sparkxd_snn::{DiehlCookNetwork, SnnConfig};
+use sparkxd_snn::{BatchEvaluator, DiehlCookNetwork, ExecConfig, SnnConfig};
 
 /// One size's result.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,7 +22,8 @@ pub struct SizePoint {
 }
 
 /// Trains one error-free model per network size and measures accuracy.
-pub fn run(scale: &Scale, seed: u64) -> Vec<SizePoint> {
+pub fn run(scale: &Scale, exec: &ExecConfig, seed: u64) -> Vec<SizePoint> {
+    let eval = BatchEvaluator::new(*exec);
     let train = DatasetKind::Digits.generate(scale.train_samples, seed ^ 0xDA7A);
     let test = DatasetKind::Digits.generate(scale.test_samples, seed ^ 0x7E57);
     scale
@@ -34,10 +35,10 @@ pub fn run(scale: &Scale, seed: u64) -> Vec<SizePoint> {
                 .with_weight_seed(seed ^ 0x11);
             let mut net = DiehlCookNetwork::new(config);
             for epoch in 0..scale.baseline_epochs {
-                net.train_epoch(&train, seed ^ (0x100 + epoch as u64));
+                net.train_epoch_with(&train, seed ^ (0x100 + epoch as u64), exec);
             }
-            let labeler = net.label_neurons(&train, seed ^ 0xABCD);
-            let accuracy = net.evaluate(&test, &labeler, seed ^ 0xEF01);
+            let labeler = eval.label_neurons(net.params(), &train, seed ^ 0xABCD);
+            let accuracy = eval.evaluate(net.params(), &test, &labeler, seed ^ 0xEF01);
             SizePoint {
                 neurons,
                 model_mb: (784 * neurons * 4) as f64 / 1e6,
@@ -80,7 +81,7 @@ mod tests {
             timesteps: 40,
             eval_trials: 1,
         };
-        let pts = run(&scale, 3);
+        let pts = run(&scale, &ExecConfig::default(), 3);
         assert_eq!(pts.len(), 2);
         assert!(
             pts[1].accuracy >= pts[0].accuracy - 0.05,

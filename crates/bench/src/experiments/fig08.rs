@@ -8,6 +8,7 @@ use crate::table::TextTable;
 use sparkxd_core::pipeline::DatasetKind;
 use sparkxd_core::tolerance::{analyze_tolerance, ToleranceCurve};
 use sparkxd_error::ErrorModel;
+use sparkxd_snn::ExecConfig;
 
 /// Result of the tolerance analysis for one network size.
 #[derive(Debug, Clone)]
@@ -27,7 +28,7 @@ pub struct ToleranceAnalysis {
 }
 
 /// Runs the Fig. 8 analysis at the scale's middle network size.
-pub fn run(scale: &Scale, seed: u64) -> ToleranceAnalysis {
+pub fn run(scale: &Scale, exec: &ExecConfig, seed: u64) -> ToleranceAnalysis {
     let neurons = scale.network_sizes[scale.network_sizes.len() / 2];
     let TrainedPair {
         mut baseline,
@@ -36,7 +37,7 @@ pub fn run(scale: &Scale, seed: u64) -> ToleranceAnalysis {
         outcome,
         test,
         ..
-    } = train_pair(DatasetKind::Digits, neurons, scale, seed);
+    } = train_pair(DatasetKind::Digits, neurons, scale, exec, seed);
     let bers = scale.ber_points();
     let baseline_curve = analyze_tolerance(
         &mut baseline,
@@ -46,6 +47,7 @@ pub fn run(scale: &Scale, seed: u64) -> ToleranceAnalysis {
         ErrorModel::Model0,
         scale.eval_trials,
         seed ^ 0xF18,
+        exec,
     );
     let improved_curve = analyze_tolerance(
         &mut improved,
@@ -55,6 +57,7 @@ pub fn run(scale: &Scale, seed: u64) -> ToleranceAnalysis {
         ErrorModel::Model0,
         scale.eval_trials,
         seed ^ 0xF19,
+        exec,
     );
     let target_accuracy = outcome.baseline_accuracy - 0.01;
     ToleranceAnalysis {
@@ -116,7 +119,7 @@ mod tests {
             timesteps: 30,
             eval_trials: 1,
         };
-        let a = run(&scale, 2);
+        let a = run(&scale, &ExecConfig::default(), 2);
         assert_eq!(a.baseline_curve.points().len(), 5);
         assert_eq!(a.improved_curve.points().len(), 5);
         assert!(print(&a).contains("BER_th") || print(&a).contains("none met"));

@@ -8,7 +8,7 @@ use crate::table::TextTable;
 use sparkxd_core::pipeline::DatasetKind;
 use sparkxd_core::tolerance::{analyze_tolerance, analyze_tolerance_quantized, ToleranceCurve};
 use sparkxd_error::ErrorModel;
-use sparkxd_snn::WeightPrecision;
+use sparkxd_snn::{ExecConfig, WeightPrecision};
 
 /// One panel of the figure: a (dataset, size) pair's three configurations.
 #[derive(Debug, Clone)]
@@ -32,7 +32,7 @@ pub struct Fig11Panel {
 }
 
 /// Runs every panel of the figure at the given scale.
-pub fn run(scale: &Scale, seed: u64) -> Vec<Fig11Panel> {
+pub fn run(scale: &Scale, exec: &ExecConfig, seed: u64) -> Vec<Fig11Panel> {
     let mut panels = Vec::new();
     for kind in [DatasetKind::Digits, DatasetKind::Fashion] {
         for &neurons in &scale.network_sizes {
@@ -43,7 +43,7 @@ pub fn run(scale: &Scale, seed: u64) -> Vec<Fig11Panel> {
                 outcome,
                 test,
                 ..
-            } = train_pair(kind, neurons, scale, seed);
+            } = train_pair(kind, neurons, scale, exec, seed);
             let bers = scale.ber_points();
             let baseline_curve = analyze_tolerance(
                 &mut baseline,
@@ -53,6 +53,7 @@ pub fn run(scale: &Scale, seed: u64) -> Vec<Fig11Panel> {
                 ErrorModel::Model0,
                 scale.eval_trials,
                 seed ^ 0x1101,
+                exec,
             );
             let improved_curve = analyze_tolerance(
                 &mut improved,
@@ -62,6 +63,7 @@ pub fn run(scale: &Scale, seed: u64) -> Vec<Fig11Panel> {
                 ErrorModel::Model0,
                 scale.eval_trials,
                 seed ^ 0x1102,
+                exec,
             );
             let improved_int8_curve = analyze_tolerance_quantized(
                 &mut improved,
@@ -72,6 +74,7 @@ pub fn run(scale: &Scale, seed: u64) -> Vec<Fig11Panel> {
                 scale.eval_trials,
                 seed ^ 0x1103,
                 WeightPrecision::Int8,
+                exec,
             );
             let target = outcome.baseline_accuracy - 0.01;
             let within = improved_curve
@@ -157,7 +160,7 @@ mod tests {
             timesteps: 30,
             eval_trials: 1,
         };
-        let panels = run(&scale, 4);
+        let panels = run(&scale, &ExecConfig::default(), 4);
         assert_eq!(panels.len(), 2); // 1 size x 2 datasets
         assert_eq!(panels[0].dataset, DatasetKind::Digits);
         assert_eq!(panels[1].dataset, DatasetKind::Fashion);

@@ -26,12 +26,29 @@ pub mod table;
 pub mod telemetry_report;
 
 pub use report::{
-    append_job_summary, bench_json, paper_sections, precision_json, run_sections,
-    run_sections_with, write_bench_json, BenchRow, PrecisionRow, Section,
+    append_job_summary, bench_json, paper_sections, precision_json, run_sections_with,
+    write_bench_json, BenchRow, PrecisionRow, Section,
 };
 pub use scale::Scale;
 pub use table::TextTable;
 pub use telemetry_report::{telemetry_overhead_json, telemetry_summary, telemetry_table};
+
+/// Resolves the `SPARKXD_*` engine and telemetry variables once for a
+/// binary or example: installs the telemetry mode and returns the engine
+/// configuration. A bad value prints the typed error and exits with
+/// status 2, so a typo never silently runs the default.
+pub fn exec_from_env() -> sparkxd_snn::ExecConfig {
+    match sparkxd_snn::ExecConfig::from_env() {
+        Ok((exec, telemetry)) => {
+            sparkxd_telemetry::set_mode(telemetry);
+            exec
+        }
+        Err(e) => {
+            eprintln!("sparkxd: {e}");
+            std::process::exit(2);
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

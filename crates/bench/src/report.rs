@@ -13,7 +13,7 @@
 
 use crate::experiments as ex;
 use crate::scale::Scale;
-use sparkxd_snn::engine::{worker_count, WorkerReservation};
+use sparkxd_snn::engine::{ExecConfig, WorkerReservation};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -30,14 +30,14 @@ pub struct Section {
 /// A titled unit of report work.
 pub type SectionJob = (&'static str, Box<dyn Fn() -> String + Send + Sync>);
 
-/// Renders `jobs` on the worker pool, calling `emit` for each section in
-/// job order as soon as it and all its predecessors are complete, and
-/// returning the full ordered list.
-pub fn run_sections_with<F>(jobs: Vec<SectionJob>, emit: F) -> Vec<Section>
+/// Renders `jobs` on as many workers as `exec`'s budget leaves free,
+/// calling `emit` for each section in job order as soon as it and all
+/// its predecessors are complete, and returning the full ordered list.
+pub fn run_sections_with<F>(jobs: Vec<SectionJob>, exec: &ExecConfig, emit: F) -> Vec<Section>
 where
     F: FnMut(&Section),
 {
-    let threads = worker_count(jobs.len());
+    let threads = exec.worker_count(jobs.len());
     run_sections_on(jobs, threads, emit)
 }
 
@@ -92,11 +92,6 @@ where
     done.into_iter()
         .map(|slot| slot.expect("every job rendered exactly once"))
         .collect()
-}
-
-/// Renders `jobs` on the worker pool, preserving job order in the output.
-pub fn run_sections(jobs: Vec<SectionJob>) -> Vec<Section> {
-    run_sections_with(jobs, |_| {})
 }
 
 /// One (network size, scalar, untiled, tiled, tiled+AVX2, intra-tiled)
@@ -281,14 +276,15 @@ pub fn append_job_summary(markdown: &str) {
 }
 
 /// The full figure/table job list of the paper, in presentation order.
-pub fn paper_sections(scale: &Scale, seed: u64) -> Vec<SectionJob> {
+pub fn paper_sections(scale: &Scale, exec: &ExecConfig, seed: u64) -> Vec<SectionJob> {
+    let exec = *exec;
     let s1 = scale.clone();
     let s8 = scale.clone();
     let s11 = scale.clone();
     vec![
         (
             "Fig. 1(a) — accuracy of small vs large SNN models",
-            Box::new(move || ex::fig01a::print(&ex::fig01a::run(&s1, seed))),
+            Box::new(move || ex::fig01a::print(&ex::fig01a::run(&s1, &exec, seed))),
         ),
         (
             "Fig. 1(b) — platform energy breakdowns",
@@ -322,11 +318,11 @@ pub fn paper_sections(scale: &Scale, seed: u64) -> Vec<SectionJob> {
         ),
         (
             "Fig. 8 — error-tolerance analysis (middle network size)",
-            Box::new(move || ex::fig08::print(&ex::fig08::run(&s8, seed))),
+            Box::new(move || ex::fig08::print(&ex::fig08::run(&s8, &exec, seed))),
         ),
         (
             "Fig. 11 — accuracy across BERs, sizes and datasets",
-            Box::new(move || ex::fig11::print(&ex::fig11::run(&s11, seed))),
+            Box::new(move || ex::fig11::print(&ex::fig11::run(&s11, &exec, seed))),
         ),
         (
             "Fig. 12 — DRAM energy per inference and throughput across voltages",
@@ -369,7 +365,7 @@ mod tests {
 
     #[test]
     fn sections_come_back_in_job_order() {
-        let sections = run_sections(dummy_jobs());
+        let sections = run_sections_with(dummy_jobs(), &ExecConfig::default(), |_| {});
         let titles: Vec<_> = sections.iter().map(|s| s.title).collect();
         assert_eq!(titles, ["alpha", "beta", "gamma", "delta", "epsilon"]);
         let bodies: Vec<_> = sections.iter().map(|s| s.body.as_str()).collect();
@@ -550,7 +546,7 @@ mod tests {
 
     #[test]
     fn paper_job_list_covers_every_figure_and_table() {
-        let jobs = paper_sections(&Scale::demo(), 42);
+        let jobs = paper_sections(&Scale::demo(), &ExecConfig::default(), 42);
         assert_eq!(jobs.len(), 11);
         assert!(jobs[0].0.contains("Fig. 1(a)"));
         assert!(jobs.last().unwrap().0.contains("Table I"));

@@ -14,7 +14,9 @@ use sparkxd_circuit::Volt;
 use sparkxd_data::{Dataset, SynthDigits, SynthFashion, SyntheticSource};
 use sparkxd_dram::DramConfig;
 use sparkxd_error::{BerCurve, Injector, WeakCellMap};
-use sparkxd_snn::{DiehlCookNetwork, QuantizedImage, SnnConfig, WeightPrecision};
+use sparkxd_snn::{
+    BatchEvaluator, DiehlCookNetwork, ExecConfig, QuantizedImage, SnnConfig, WeightPrecision,
+};
 
 /// Which synthetic dataset to run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,6 +75,10 @@ pub struct PipelineConfig {
     /// image; int8/int16 map, trace and inject a packed quantised image
     /// (4×/2× fewer columns) and dequantise at plane-build time.
     pub precision: WeightPrecision,
+    /// Engine configuration every training epoch and evaluation runs
+    /// under. Changes wall time only: the outcome is bit-identical for
+    /// any value.
+    pub exec: ExecConfig,
 }
 
 impl PipelineConfig {
@@ -96,6 +102,7 @@ impl PipelineConfig {
             device_seed: seed,
             data_seed: seed ^ 0xDA7A,
             precision: WeightPrecision::Fp32,
+            exec: ExecConfig::default(),
         }
     }
 
@@ -116,6 +123,7 @@ impl PipelineConfig {
             device_seed: seed,
             data_seed: seed ^ 0xDA7A,
             precision: WeightPrecision::Fp32,
+            exec: ExecConfig::default(),
         }
     }
 
@@ -284,7 +292,8 @@ impl SparkXdPipeline {
         let cfg = &self.config;
         let mut net = DiehlCookNetwork::new(data.snn_config.clone());
         for epoch in 0..cfg.baseline_epochs {
-            net.train_epoch(&data.train, cfg.training.spike_seed ^ (epoch as u64));
+            let seed = cfg.training.spike_seed ^ (epoch as u64);
+            net.train_epoch_with(&data.train, seed, &cfg.exec);
         }
         net
     }
@@ -297,7 +306,7 @@ impl SparkXdPipeline {
         data: &DataStage,
     ) -> Result<ToleranceStage, CoreError> {
         let cfg = &self.config;
-        let trainer = FaultAwareTrainer::new(cfg.training.clone());
+        let trainer = FaultAwareTrainer::new(cfg.training.clone(), cfg.exec);
         let outcome = trainer.improve(net, &data.train, &data.test)?;
         let (ber_th, target_met) = match outcome.max_tolerable_ber {
             Some(b) => (b, true),
@@ -432,7 +441,8 @@ impl SparkXdPipeline {
         )?;
         let rows = scratch.rows_of_words(&touched);
         net.swap_weights_rows(&mut scratch, &rows);
-        let acc = net.evaluate(test, labeler, cfg.training.spike_seed ^ 0x0ACC);
+        let seed = cfg.training.spike_seed ^ 0x0ACC;
+        let acc = BatchEvaluator::new(cfg.exec).evaluate(net.params(), test, labeler, seed);
         net.swap_weights_rows(&mut scratch, &rows);
         Ok(acc)
     }
@@ -464,7 +474,8 @@ impl SparkXdPipeline {
         )?;
         let clean = net.weights().clone();
         net.set_weights(image.dequantize());
-        let acc = net.evaluate(test, labeler, cfg.training.spike_seed ^ 0x0ACC);
+        let seed = cfg.training.spike_seed ^ 0x0ACC;
+        let acc = BatchEvaluator::new(cfg.exec).evaluate(net.params(), test, labeler, seed);
         net.set_weights(clean);
         Ok(acc)
     }

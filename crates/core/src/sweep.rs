@@ -10,7 +10,7 @@
 
 use crate::pipeline::{PipelineConfig, PipelineOutcome, SparkXdPipeline};
 use crate::CoreError;
-use sparkxd_snn::engine::{parallel_map, worker_count};
+use sparkxd_snn::engine::parallel_map;
 use std::ops::Range;
 
 /// Summary statistics of one metric across the sweep's devices.
@@ -181,7 +181,7 @@ impl DeviceSweep {
         }
         let runs = parallel_map(
             &self.seeds,
-            worker_count(self.seeds.len()),
+            self.base.exec.worker_count(self.seeds.len()),
             |_, &device_seed| {
                 let config = PipelineConfig {
                     device_seed,

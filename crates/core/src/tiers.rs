@@ -121,9 +121,9 @@ impl TierBuilder {
         self
     }
 
-    /// Pins the engine configuration (threads / batch / tile width) used
-    /// to measure each tier's calibration accuracy, instead of reading
-    /// the `SPARKXD_*` environment. Paper-scale ladders (N3600) want the
+    /// Pins the evaluator (threads / batch / tile width) used to measure
+    /// each tier's calibration accuracy, instead of one sized from the
+    /// configuration's [`exec`](PipelineConfig::exec). Paper-scale ladders (N3600) want the
     /// tiled batched path here: calibration is a full evaluation pass per
     /// voltage, and the engine guarantees the measured accuracy is
     /// bit-identical for **any** evaluator configuration.
@@ -184,10 +184,10 @@ impl TierBuilder {
             .with_weight_seed(cfg.device_seed ^ 0x11);
         let mut net = DiehlCookNetwork::new(snn_config);
         for epoch in 0..cfg.baseline_epochs {
-            net.train_epoch(&train, cfg.training.spike_seed ^ (epoch as u64));
+            net.train_epoch_with(&train, cfg.training.spike_seed ^ (epoch as u64), &cfg.exec);
         }
-        let outcome =
-            FaultAwareTrainer::new(cfg.training.clone()).improve(&mut net, &train, &test)?;
+        let outcome = FaultAwareTrainer::new(cfg.training.clone(), cfg.exec)
+            .improve(&mut net, &train, &test)?;
         let ber_th = match outcome.max_tolerable_ber {
             Some(b) => b,
             None => cfg
@@ -224,7 +224,8 @@ impl TierBuilder {
         let test = cfg
             .dataset
             .generate(cfg.test_samples, cfg.data_seed ^ 0x7E57);
-        let labeler = net.label_neurons(&train, cfg.training.spike_seed ^ 0xABCD);
+        let seed = cfg.training.spike_seed ^ 0xABCD;
+        let labeler = BatchEvaluator::new(cfg.exec).label_neurons(net.params(), &train, seed);
         self.assemble(net, &labeler, &test, ber_th)
     }
 
@@ -322,7 +323,7 @@ impl TierBuilder {
 
         let accuracy_estimate = self
             .calibration_eval
-            .unwrap_or_else(BatchEvaluator::from_env)
+            .unwrap_or(BatchEvaluator::new(cfg.exec))
             .evaluate(
                 &params,
                 calibration,

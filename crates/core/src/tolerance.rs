@@ -7,7 +7,9 @@
 
 use sparkxd_data::Dataset;
 use sparkxd_error::{ErrorModel, Injector};
-use sparkxd_snn::{DiehlCookNetwork, NeuronLabeler, QuantizedImage, WeightPrecision};
+use sparkxd_snn::{
+    BatchEvaluator, DiehlCookNetwork, ExecConfig, NeuronLabeler, QuantizedImage, WeightPrecision,
+};
 
 /// An accuracy-versus-BER curve for one model.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -60,7 +62,8 @@ impl ToleranceCurve {
 /// deterministic injector stream), but every evaluation under a pattern is
 /// sharded across samples by the parallel batch engine, so the sweep's
 /// wall time scales with the worker count while its result stays
-/// bit-identical to a serial run.
+/// bit-identical to a serial run. Evaluations run under `exec`.
+#[allow(clippy::too_many_arguments)] // the sweep axes plus the engine config
 pub fn analyze_tolerance(
     net: &mut DiehlCookNetwork,
     labeler: &NeuronLabeler,
@@ -69,7 +72,9 @@ pub fn analyze_tolerance(
     model: ErrorModel,
     trials: usize,
     seed: u64,
+    exec: &ExecConfig,
 ) -> ToleranceCurve {
+    let eval = BatchEvaluator::new(*exec);
     let mut points = Vec::with_capacity(bers.len());
     let mut scratch = net.weights().clone();
     let mut touched = Vec::new();
@@ -86,7 +91,8 @@ pub fn analyze_tolerance(
             // effective-plane entries re-derived, in both directions.
             let rows = scratch.rows_of_words(&touched);
             net.swap_weights_rows(&mut scratch, &rows);
-            total += net.evaluate(test, labeler, seed ^ 0xACC ^ ((trial as u64) << 24));
+            let spike_seed = seed ^ 0xACC ^ ((trial as u64) << 24);
+            total += eval.evaluate(net.params(), test, labeler, spike_seed);
             net.swap_weights_rows(&mut scratch, &rows);
         }
         points.push((ber, total / trials.max(1) as f64));
@@ -113,7 +119,9 @@ pub fn analyze_tolerance_quantized(
     trials: usize,
     seed: u64,
     precision: WeightPrecision,
+    exec: &ExecConfig,
 ) -> ToleranceCurve {
+    let eval = BatchEvaluator::new(*exec);
     let clean = net.weights().clone();
     let clean_image = QuantizedImage::quantize(&clean, precision);
     let word_bits = clean_image.word_bits();
@@ -128,7 +136,8 @@ pub fn analyze_tolerance_quantized(
             // store in every row, so this path swaps full images rather
             // than touched rows.
             net.set_weights(image.dequantize());
-            total += net.evaluate(test, labeler, seed ^ 0xACC ^ ((trial as u64) << 24));
+            let spike_seed = seed ^ 0xACC ^ ((trial as u64) << 24);
+            total += eval.evaluate(net.params(), test, labeler, spike_seed);
         }
         points.push((ber, total / trials.max(1) as f64));
     }
@@ -195,6 +204,7 @@ mod tests {
             2,
             99,
             WeightPrecision::Int8,
+            &ExecConfig::default(),
         );
         assert_eq!(net.weights(), &before, "weights restored");
         assert_eq!(curve.points().len(), 2);
@@ -211,6 +221,7 @@ mod tests {
             ErrorModel::Model0,
             2,
             99,
+            &ExecConfig::default(),
         );
         assert!((lo - fp32.points()[0].1).abs() <= 0.1);
     }
@@ -231,6 +242,7 @@ mod tests {
             ErrorModel::Model0,
             2,
             99,
+            &ExecConfig::default(),
         );
         assert_eq!(net.weights(), &before, "weights restored");
         assert_eq!(curve.points().len(), 2);

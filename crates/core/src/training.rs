@@ -11,7 +11,7 @@
 use crate::CoreError;
 use sparkxd_data::Dataset;
 use sparkxd_error::{ErrorModel, Injector};
-use sparkxd_snn::{DiehlCookNetwork, NeuronLabeler};
+use sparkxd_snn::{BatchEvaluator, DiehlCookNetwork, ExecConfig, NeuronLabeler};
 
 /// Configuration of the fault-aware training loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,12 +83,16 @@ pub struct FaultAwareOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultAwareTrainer {
     config: TrainingConfig,
+    /// Engine configuration every training epoch and evaluation runs
+    /// under (wall time only; never the result).
+    exec: ExecConfig,
 }
 
 impl FaultAwareTrainer {
-    /// Creates a trainer with the given configuration.
-    pub fn new(config: TrainingConfig) -> Self {
-        Self { config }
+    /// Creates a trainer with the given configuration, training and
+    /// evaluating under `exec`.
+    pub fn new(config: TrainingConfig, exec: ExecConfig) -> Self {
+        Self { config, exec }
     }
 
     /// The configuration in use.
@@ -127,7 +131,8 @@ impl FaultAwareTrainer {
             injector.inject_uniform_tracked(scratch.as_mut_slice(), ber, &mut touched);
             let rows = scratch.rows_of_words(&touched);
             net.swap_weights_rows(&mut scratch, &rows);
-            total += net.evaluate(test, labeler, self.config.spike_seed ^ (trial as u64) << 32);
+            let seed = self.config.spike_seed ^ (trial as u64) << 32;
+            total += BatchEvaluator::new(self.exec).evaluate(net.params(), test, labeler, seed);
             net.swap_weights_rows(&mut scratch, &rows);
         }
         total / trials.max(1) as f64
@@ -155,9 +160,11 @@ impl FaultAwareTrainer {
         test: &Dataset,
     ) -> Result<FaultAwareOutcome, CoreError> {
         let cfg = &self.config;
+        let eval = BatchEvaluator::new(self.exec);
         // Baseline (model0) accuracy without errors.
-        let labeler0 = net.label_neurons(train, cfg.spike_seed ^ 0xABCD);
-        let baseline_accuracy = net.evaluate(test, &labeler0, cfg.spike_seed ^ 0xEF01);
+        let labeler0 = eval.label_neurons(net.params(), train, cfg.spike_seed ^ 0xABCD);
+        let baseline_accuracy =
+            eval.evaluate(net.params(), test, &labeler0, cfg.spike_seed ^ 0xEF01);
         let target = baseline_accuracy - cfg.accuracy_bound;
 
         let mut injector = Injector::new(cfg.error_model, cfg.injection_seed);
@@ -169,10 +176,11 @@ impl FaultAwareTrainer {
             // model, then train with them in place.
             net.with_weights_mut(|w| injector.inject_uniform(w.as_mut_slice(), ber));
             for epoch in 0..cfg.epochs_per_rate {
-                net.train_epoch(train, cfg.spike_seed ^ ((step * 31 + epoch) as u64));
+                let seed = cfg.spike_seed ^ ((step * 31 + epoch) as u64);
+                net.train_epoch_with(train, seed, &self.exec);
             }
             // Lines 8-9: test the adapted model under this error rate.
-            let labeler = net.label_neurons(train, cfg.spike_seed ^ 0xABCD);
+            let labeler = eval.label_neurons(net.params(), train, cfg.spike_seed ^ 0xABCD);
             let acc = self.accuracy_under_errors(
                 net,
                 &labeler,
@@ -193,9 +201,13 @@ impl FaultAwareTrainer {
                 *net = model;
                 (Some(ber), labeler)
             }
-            None => (None, net.label_neurons(train, cfg.spike_seed ^ 0xABCD)),
+            None => (
+                None,
+                eval.label_neurons(net.params(), train, cfg.spike_seed ^ 0xABCD),
+            ),
         };
-        let improved_clean_accuracy = net.evaluate(test, &labeler, cfg.spike_seed ^ 0xEF01);
+        let improved_clean_accuracy =
+            eval.evaluate(net.params(), test, &labeler, cfg.spike_seed ^ 0xEF01);
         Ok(FaultAwareOutcome {
             baseline_accuracy,
             improved_clean_accuracy,
@@ -223,7 +235,7 @@ mod tests {
         let train = SynthDigits.generate(60, 1);
         let test = SynthDigits.generate(30, 2);
         let mut net = trained_net(30, &train);
-        let trainer = FaultAwareTrainer::new(TrainingConfig::quick());
+        let trainer = FaultAwareTrainer::new(TrainingConfig::quick(), ExecConfig::default());
         let out = trainer.improve(&mut net, &train, &test).unwrap();
         assert_eq!(out.curve.len(), 2);
         assert!(out.curve[0].0 < out.curve[1].0);
@@ -238,7 +250,7 @@ mod tests {
         let mut cfg = TrainingConfig::quick();
         // A generous bound guarantees at least the first rate passes.
         cfg.accuracy_bound = 1.0;
-        let trainer = FaultAwareTrainer::new(cfg.clone());
+        let trainer = FaultAwareTrainer::new(cfg.clone(), ExecConfig::default());
         let out = trainer.improve(&mut net, &train, &test).unwrap();
         let ber = out.max_tolerable_ber.expect("bound of 1.0 always met");
         assert!(cfg.ber_schedule.contains(&ber));
@@ -253,7 +265,7 @@ mod tests {
         let mut net = trained_net(30, &train);
         let mut cfg = TrainingConfig::quick();
         cfg.accuracy_bound = -2.0; // accuracy can never exceed baseline + 2
-        let trainer = FaultAwareTrainer::new(cfg);
+        let trainer = FaultAwareTrainer::new(cfg, ExecConfig::default());
         let out = trainer.improve(&mut net, &train, &test).unwrap();
         assert_eq!(out.max_tolerable_ber, None);
     }
@@ -265,7 +277,7 @@ mod tests {
         let mut net = trained_net(20, &train);
         let labeler = net.label_neurons(&train, 3);
         let before = net.weights().clone();
-        let trainer = FaultAwareTrainer::new(TrainingConfig::quick());
+        let trainer = FaultAwareTrainer::new(TrainingConfig::quick(), ExecConfig::default());
         let _ = trainer.accuracy_under_errors(&mut net, &labeler, &test, 1e-3, 2, 5);
         assert_eq!(net.weights(), &before);
     }
@@ -276,7 +288,7 @@ mod tests {
         let test = SynthDigits.generate(20, 2);
         let run = || {
             let mut net = trained_net(20, &train);
-            let trainer = FaultAwareTrainer::new(TrainingConfig::quick());
+            let trainer = FaultAwareTrainer::new(TrainingConfig::quick(), ExecConfig::default());
             let out = trainer.improve(&mut net, &train, &test).unwrap();
             (out.curve.clone(), net.weights().as_slice().to_vec())
         };

@@ -36,7 +36,7 @@
 //! uses, and tier choice is a pure function of the policy — so the
 //! `(id → label, tier)` mapping is bit-identical for **any** worker
 //! count, batch size, chunking, arrival timing or intra-chunk sweep
-//! split (`SPARKXD_INTRA` / [`ServiceConfig::with_intra`]), and equals
+//! split ([`ServiceConfig::with_intra`]), and equals
 //! the offline answer for the same seed. `tests/scheduler_determinism.rs`
 //! proves it across a worker/batch/intra matrix, mirroring the repo's
 //! `thread_invariance` suite, and `tests/worker_budget.rs` pins that the
@@ -56,12 +56,14 @@
 //! use sparkxd_core::pipeline::PipelineConfig;
 //! use sparkxd_core::TierBuilder;
 //! use sparkxd_serve::{RoutePolicy, ServeRequest, ServiceConfig, SparkXdService};
+//! use sparkxd_snn::ExecConfig;
 //!
+//! let exec = ExecConfig::default();
 //! let tiers = TierBuilder::new(PipelineConfig::small_demo(42))
 //!     .build()
 //!     .expect("tier ladder");
 //! let (service, responses) =
-//!     SparkXdService::start(tiers.tiers, ServiceConfig::from_env());
+//!     SparkXdService::start_with_exec(tiers.tiers, ServiceConfig::new(&exec), &exec);
 //! service
 //!     .submit(ServeRequest {
 //!         id: 0,

@@ -33,9 +33,10 @@
 //! The service's workers register one [`WorkerReservation`] for the whole
 //! pool, and any intra-chunk helpers a dispatched `run_batch` claims come
 //! from the engine's *leftover* budget
-//! ([`WorkerReservation::claim_leftover`]) — so service workers plus
-//! sweep helpers together never exceed the configured thread count, no
-//! matter how the two layers nest. Sweep helpers themselves run on the
+//! ([`WorkerReservation::claim_leftover`]) against the thread budget of
+//! the [`ExecConfig`] the service started with — so service workers plus
+//! sweep helpers together never exceed that budget, no matter how the
+//! two layers nest. Sweep helpers themselves run on the
 //! engine's persistent [`WorkerPool`](sparkxd_snn::WorkerPool), shared
 //! with every other fan-out in the process, so a dispatch is a queue push
 //! instead of a thread spawn.
@@ -45,9 +46,7 @@ use crate::router::{RoutePolicy, Router, TierInfo};
 use rand::rngs::StdRng;
 use sparkxd_circuit::Volt;
 use sparkxd_core::TierModel;
-use sparkxd_snn::engine::{
-    batch_size, intra_choice, sample_rng, worker_count, IntraChoice, WorkerReservation,
-};
+use sparkxd_snn::engine::{sample_rng, ExecConfig, IntraChoice, WorkerReservation};
 use sparkxd_snn::BatchState;
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -78,18 +77,17 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Defaults resolved from the engine environment: `SPARKXD_THREADS`
-    /// workers (or available parallelism), `SPARKXD_BATCH` chunk size (or
-    /// the engine default), the `SPARKXD_INTRA` sweep mode, a 2 ms
-    /// batching wait and a 1024-deep queue.
-    pub fn from_env() -> Self {
+    /// Defaults drawn from `exec`: as many workers as its thread budget
+    /// leaves free, its batch size as the chunk size and its sweep mode,
+    /// plus a 2 ms batching wait and a 1024-deep queue.
+    pub fn new(exec: &ExecConfig) -> Self {
         Self {
-            workers: worker_count(usize::MAX),
-            batch: batch_size(),
+            workers: exec.worker_count(usize::MAX),
+            batch: exec.batch,
             max_wait: Duration::from_millis(2),
             queue_bound: 1024,
             spike_seed: 0x5E_BF,
-            intra: intra_choice(),
+            intra: exec.intra,
         }
     }
 
@@ -224,6 +222,9 @@ struct Shared {
     tiers: Vec<TierModel>,
     router: Router,
     config: ServiceConfig,
+    /// What dispatched chunks run under: the engine config passed at
+    /// start, with the service's own chunk size and sweep mode.
+    exec: ExecConfig,
     queue: Mutex<QueueState>,
     /// Signalled on every enqueue and on shutdown.
     work_cv: Condvar,
@@ -246,16 +247,28 @@ pub struct SparkXdService {
 }
 
 impl SparkXdService {
+    /// [`start_with_exec`](Self::start_with_exec) under
+    /// [`ExecConfig::default`] (same panics).
+    pub fn start(
+        tiers: Vec<TierModel>,
+        config: ServiceConfig,
+    ) -> (Self, mpsc::Receiver<ServeResponse>) {
+        Self::start_with_exec(tiers, config, &ExecConfig::default())
+    }
+
     /// Starts `config.workers` worker threads over `tiers` and returns
-    /// the service handle plus the response channel.
+    /// the service handle plus the response channel. Dispatched chunks
+    /// run with `exec`'s tile width, kernel and thread budget (intra
+    /// helpers claim what the budget leaves after the service workers).
     ///
     /// # Panics
     ///
     /// Panics when `tiers` is empty or the tiers disagree on the model
     /// input size.
-    pub fn start(
+    pub fn start_with_exec(
         tiers: Vec<TierModel>,
         config: ServiceConfig,
+        exec: &ExecConfig,
     ) -> (Self, mpsc::Receiver<ServeResponse>) {
         assert!(!tiers.is_empty(), "service needs at least one tier");
         let n_inputs = tiers[0].params.config().n_inputs;
@@ -275,6 +288,11 @@ impl SparkXdService {
         let shared = Arc::new(Shared {
             router,
             config,
+            exec: ExecConfig {
+                batch: config.batch,
+                intra: config.intra,
+                ..*exec
+            },
             queue: Mutex::new(QueueState {
                 per_tier: (0..n_tiers).map(|_| VecDeque::new()).collect(),
                 depth: 0,
@@ -482,9 +500,7 @@ fn serve_chunk(
     state: &mut Option<BatchState>,
 ) {
     let tier = &shared.tiers[tier_idx];
-    let state = state.get_or_insert_with(|| {
-        BatchState::for_params(&tier.params, shared.config.batch).with_intra(shared.config.intra)
-    });
+    let state = state.get_or_insert_with(|| BatchState::for_exec(&tier.params, &shared.exec));
     let started = Instant::now();
     let pixels: Vec<&[f32]> = chunk.iter().map(|p| p.pixels.as_slice()).collect();
     let mut rngs: Vec<StdRng> = chunk
@@ -573,7 +589,7 @@ mod tests {
     }
 
     fn quick_config() -> ServiceConfig {
-        ServiceConfig::from_env()
+        ServiceConfig::new(&ExecConfig::default())
             .with_workers(2)
             .with_batch(4)
             .with_max_wait(Duration::from_millis(1))
@@ -622,7 +638,7 @@ mod tests {
     fn admission_control_rejects_beyond_the_bound() {
         // One slow-to-start worker and a tiny bound: overflow must be
         // refused, not queued without limit.
-        let config = ServiceConfig::from_env()
+        let config = ServiceConfig::new(&ExecConfig::default())
             .with_workers(1)
             .with_batch(1)
             .with_max_wait(Duration::from_secs(5))

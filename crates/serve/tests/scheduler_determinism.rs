@@ -11,7 +11,7 @@
 //! sweep split and dispatch timing can only change *when* an answer
 //! arrives, never *what* it says.
 //!
-//! The matrix also crosses the `SPARKXD_TELEMETRY` mode: telemetry is
+//! The matrix also crosses the telemetry mode: telemetry is
 //! observation-only (counters, histograms and span timers — it never
 //! feeds back into scheduling or the engine), so counters and full spans
 //! must reproduce the telemetry-off answers bit for bit.
@@ -22,7 +22,7 @@ use sparkxd_data::{SynthDigits, SyntheticSource};
 use sparkxd_serve::{
     arrival_trace, replay_open_loop, LoadSpec, RoutePolicy, ServiceConfig, SparkXdService,
 };
-use sparkxd_snn::IntraChoice;
+use sparkxd_snn::{ExecConfig, IntraChoice};
 use std::time::Duration;
 
 /// Trimmed below `small_demo` so the one-off tier build stays in seconds.
@@ -66,7 +66,7 @@ fn responses_are_bit_identical_across_workers_and_batch_sizes() {
                telemetry: sparkxd_telemetry::Mode|
      -> Vec<(u64, Option<u8>, usize)> {
         sparkxd_telemetry::set_mode(telemetry);
-        let config = ServiceConfig::from_env()
+        let config = ServiceConfig::new(&ExecConfig::default())
             .with_workers(workers)
             .with_batch(batch)
             .with_intra(intra)
@@ -104,6 +104,6 @@ fn responses_are_bit_identical_across_workers_and_batch_sizes() {
              diverged from serial scalar"
         );
     }
-    // Leave the process-global mode as the suite found it.
-    sparkxd_telemetry::force_mode_from_env();
+    // Leave the process-global mode at its default.
+    sparkxd_telemetry::set_mode(Mode::Off);
 }

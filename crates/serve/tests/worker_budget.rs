@@ -18,8 +18,8 @@
 use sparkxd_core::pipeline::MappingSummary;
 use sparkxd_core::TierModel;
 use sparkxd_serve::{RoutePolicy, ServeRequest, ServiceConfig, SparkXdService};
-use sparkxd_snn::engine::{busy_peak, configured_threads, reset_busy_peak};
-use sparkxd_snn::{IntraChoice, NetworkParams, NeuronLabeler, SnnConfig};
+use sparkxd_snn::engine::{busy_peak, reset_busy_peak};
+use sparkxd_snn::{ExecConfig, IntraChoice, NetworkParams, NeuronLabeler, SnnConfig};
 use std::time::Duration;
 
 /// An untrained single tier with a fixed labelling — enough substrate to
@@ -47,23 +47,25 @@ fn one_tier() -> Vec<TierModel> {
 
 #[test]
 fn serve_workers_plus_intra_helpers_stay_under_the_global_budget() {
-    // Pretend the host has 4 cores so the leftover-claim path is
-    // exercised even on single-core CI runners. Safe here: this binary
-    // holds exactly one test, so nothing else reads the variable
-    // concurrently.
-    std::env::set_var("SPARKXD_THREADS", "4");
-    let configured = configured_threads();
-    assert_eq!(configured, 4);
+    // A 4-thread budget, whatever the host, and 8-lane tiles (five per
+    // 40-neuron sweep), so the leftover-claim path is exercised even on
+    // single-core CI runners.
+    let exec = ExecConfig {
+        threads: 4,
+        tile: 8,
+        ..ExecConfig::default()
+    };
+    let configured = exec.threads;
 
     let workers = 3;
-    let config = ServiceConfig::from_env()
+    let config = ServiceConfig::new(&exec)
         .with_workers(workers)
         .with_batch(4)
         .with_intra(IntraChoice::Auto)
         .with_max_wait(Duration::from_micros(100))
         .with_queue_bound(10_000);
     reset_busy_peak();
-    let (service, rx) = SparkXdService::start(one_tier(), config);
+    let (service, rx) = SparkXdService::start_with_exec(one_tier(), config, &exec);
     for id in 0..48 {
         service
             .submit(ServeRequest {
@@ -94,5 +96,4 @@ fn serve_workers_plus_intra_helpers_stay_under_the_global_budget() {
         "peak {peak} never reached the service pool's own {} extras",
         workers - 1
     );
-    std::env::remove_var("SPARKXD_THREADS");
 }

@@ -12,7 +12,7 @@
 //!   [`NetworkParams::run_batch`], which streams each effective-weight row
 //!   once per chunk instead of once per sample, and
 //! * within a chunk, the per-timestep tile sweep can itself fan out
-//!   across the pool (`SPARKXD_INTRA` / [`BatchEvaluator::with_intra`]):
+//!   across the pool ([`ExecConfig::intra`] / [`BatchEvaluator::with_intra`]):
 //!   range-jobs own disjoint neuron-lane ranges of the `[B × n]` slabs,
 //!   with a barrier before the global-per-sample firing/inhibition pass —
 //!   bit-identical to the serial sweep by construction.
@@ -21,18 +21,18 @@
 //! result is bit-identical for **any** worker count *and any batch size*,
 //! including fully serial execution one sample at a time.
 //!
-//! Worker counts come from `std::thread::available_parallelism()`, with
-//! the `SPARKXD_THREADS` environment variable as an override (`1` forces
-//! serial execution; higher values pin the exact thread count). The batch
-//! size defaults to [`DEFAULT_BATCH`], with `SPARKXD_BATCH` as an override
-//! (`1` presents one sample per `run_batch` call), and the neuron-tile
-//! width of the batched drive matrix defaults to [`DEFAULT_TILE`], with
-//! `SPARKXD_TILE` as an override (any value ≥ `n_neurons` disables
-//! tiling). The intra-chunk sweep mode defaults to [`IntraChoice::Auto`],
-//! with `SPARKXD_INTRA` as an override (`off` keeps the serial sweep,
-//! `<k>` pins `k` sweep workers); every level draws from the one global
-//! thread budget (see [`WorkerReservation`]), so nesting never
-//! oversubscribes the machine to workers².
+//! Every knob lives in one explicit [`ExecConfig`]: the worker budget
+//! (`threads`, default `available_parallelism`; `1` is fully serial),
+//! the batch size (default [`DEFAULT_BATCH`]; `1` presents one sample per
+//! `run_batch` call), the neuron-tile width of the batched drive matrix
+//! (default [`DEFAULT_TILE`]; any value ≥ `n_neurons` disables tiling),
+//! the kernel and the intra-chunk sweep mode (default
+//! [`IntraChoice::Auto`]; `Off` keeps the serial sweep, `Workers(k)` pins
+//! `k` sweep workers). Library code never reads the environment:
+//! binaries and examples resolve `SPARKXD_*` once through
+//! [`ExecConfig::from_env`] and pass the result down. Every level draws
+//! from one global thread budget (see [`WorkerReservation`]), so nesting
+//! never oversubscribes the machine to workers².
 //!
 //! # Kernel dispatch
 //!
@@ -40,13 +40,13 @@
 //! inhibition sweep) run through the runtime-dispatched kernels of
 //! [`crate::kernels`]:
 //!
-//! | `SPARKXD_KERNEL` | meaning                                            |
+//! | [`KernelChoice`] | meaning                                            |
 //! |------------------|----------------------------------------------------|
-//! | `auto` (default) | widest kernel the host supports (AVX2 if detected) |
-//! | `scalar`         | portable unrolled-scalar kernel                    |
-//! | `avx2`           | x86_64 AVX2 kernel; warns + falls back off-AVX2    |
+//! | `Auto` (default) | widest kernel the host supports (AVX2 if detected) |
+//! | `Scalar`         | portable unrolled-scalar kernel                    |
+//! | `Avx2`           | x86_64 AVX2 kernel; falls back to scalar off-AVX2  |
 //!
-//! [`BatchEvaluator::with_kernel`] pins the choice programmatically.
+//! [`ExecConfig::kernel`] (or [`BatchEvaluator::with_kernel`]) picks it.
 //! The kernel never changes results, only wall time: the AVX2 lanes
 //! compute the exact scalar IEEE operation sequence (lanewise ops in
 //! unchanged per-element order, no FMA, no reassociated reductions), so
@@ -60,48 +60,29 @@ use crate::network::{BatchState, NetworkParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparkxd_data::Dataset;
+use sparkxd_telemetry::Mode;
 use std::any::Any;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-/// Environment variable overriding the engine's worker count.
-pub const THREADS_ENV: &str = "SPARKXD_THREADS";
-
-/// Environment variable overriding the engine's per-worker batch size.
-pub const BATCH_ENV: &str = "SPARKXD_BATCH";
-
-/// Environment variable overriding the batched drive matrix's neuron-tile
-/// width (see [`DEFAULT_TILE`]).
-pub const TILE_ENV: &str = "SPARKXD_TILE";
-
-/// Environment variable selecting the hot-loop kernel
-/// (`auto` | `scalar` | `avx2`; see [`kernel_choice`]).
-pub const KERNEL_ENV: &str = "SPARKXD_KERNEL";
-
-/// Environment variable selecting the intra-chunk tile-parallel mode of
-/// the batched drive sweep (`auto` | `off` | `<k>`; see [`intra_choice`]).
-pub const INTRA_ENV: &str = "SPARKXD_INTRA";
-
-/// Samples presented together per [`NetworkParams::run_batch`] call when
-/// neither [`BatchEvaluator::with_batch`] nor `SPARKXD_BATCH` says
-/// otherwise. Large enough to amortise weight-row streaming and the
-/// per-presentation spike-plan build — measured fastest in the 2–8 band
-/// at N400, degrading beyond it.
+/// Samples presented together per [`NetworkParams::run_batch`] call by
+/// the default [`ExecConfig`]. Large enough to amortise weight-row
+/// streaming and the per-presentation spike-plan build — measured
+/// fastest in the 2–8 band at N400, degrading beyond it.
 ///
 /// The batch size no longer has to keep the whole `[B × n_neurons]`
 /// drive slab cache-resident: beyond ~N1600 that slab outgrows L1 at any
 /// useful B, so [`NetworkParams::run_batch`] sweeps it in neuron tiles of
-/// [`DEFAULT_TILE`] lanes (`SPARKXD_TILE` overrides; see
-/// [`tile_width`]) and only the `[B × tile]` working set must stay hot.
+/// [`DEFAULT_TILE`] lanes ([`ExecConfig::tile`]) and only the
+/// `[B × tile]` working set must stay hot.
 pub const DEFAULT_BATCH: usize = 4;
 
-/// Neuron-tile width of the batched drive matrix when neither
-/// [`BatchState::with_tile`](crate::network::BatchState::with_tile) nor
-/// `SPARKXD_TILE` says otherwise.
+/// Neuron-tile width of the batched drive matrix in the default
+/// [`ExecConfig`].
 ///
 /// Drive accumulation touches the `[B × tile]` drive tile once per
 /// distinct active row, so the tile — not the full `[B × n_neurons]`
@@ -134,15 +115,8 @@ fn note_busy_peak() {
     sparkxd_telemetry::gauge_max!("pool.busy_peak", busy);
 }
 
-/// Extra workers the engine currently has registered busy across every
-/// level (serve pools, `parallel_map` calls, intra-parallel sweeps). The
-/// calling thread is never counted, so total live compute threads are at
-/// most `busy_workers() + 1`.
-pub fn busy_workers() -> usize {
-    BUSY_WORKERS.load(Ordering::Relaxed)
-}
-
-/// High-water mark of [`busy_workers`] since process start (or the last
+/// High-water mark of the extra workers registered busy across every
+/// level (serve pools, `parallel_map` calls, intra-parallel sweeps) since process start (or the last
 /// [`reset_busy_peak`]). Diagnostic for worker-budget accounting tests.
 pub fn busy_peak() -> usize {
     BUSY_PEAK.load(Ordering::Relaxed)
@@ -209,74 +183,165 @@ impl Drop for WorkerReservation {
     }
 }
 
-/// Reads a `usize` tuning override from environment variable `var`.
-///
-/// Every engine knob shares this one parse: `0` is clamped to `1` (both
-/// knobs mean "serial", never "off") and an unparsable value is treated as
-/// unset — but instead of silently falling back, a warning is printed to
-/// stderr **once per variable per process**, so a typo like
-/// `SPARKXD_THREADS=fourteen` cannot quietly run a benchmark on the wrong
-/// configuration.
-pub fn env_usize_override(var: &str) -> Option<usize> {
-    let raw = std::env::var(var).ok()?;
-    parse_usize_override(var, &raw)
+/// The engine's whole execution configuration. Library code takes one
+/// explicitly and never reads the environment, so a run is reproducible
+/// from what its caller passes in; [`Default`] is the machine default,
+/// and binaries call [`ExecConfig::from_env`] once. None of the five
+/// knobs changes results, only wall time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecConfig {
+    /// Total worker budget every fan-out level measures against
+    /// (`SPARKXD_THREADS`; default: available parallelism).
+    pub threads: usize,
+    /// Samples per [`NetworkParams::run_batch`] call (`SPARKXD_BATCH`).
+    pub batch: usize,
+    /// Neuron-tile width of the drive sweep (`SPARKXD_TILE`); clamped
+    /// into `[1, n_neurons]`, so `usize::MAX` is the untiled path.
+    pub tile: usize,
+    /// Hot-loop kernel request (`SPARKXD_KERNEL`).
+    pub kernel: KernelChoice,
+    /// Intra-chunk tile-sweep mode (`SPARKXD_INTRA`).
+    pub intra: IntraChoice,
 }
 
-/// The parse half of [`env_usize_override`], separated from the
-/// environment read so the fallback and clamp behaviour are unit-testable
-/// without process-global env mutation.
-fn parse_usize_override(var: &str, raw: &str) -> Option<usize> {
-    match raw.trim().parse::<usize>() {
-        Ok(n) => Some(n.max(1)),
-        Err(_) => {
-            if warn_once(var) {
-                eprintln!(
-                    "sparkxd: ignoring unparsable {var}={raw:?} \
-                     (expected a non-negative integer), using the default"
-                );
-            }
-            None
+impl Default for ExecConfig {
+    fn default() -> Self {
+        Self::with_budget(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        )
+    }
+}
+
+/// A `SPARKXD_*` variable holding a value its knob does not accept.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExecConfigError {
+    /// The offending variable.
+    pub var: &'static str,
+    /// Its value, verbatim.
+    pub value: String,
+    /// The spellings the variable accepts.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for ExecConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Self {
+            var,
+            value,
+            expected,
+        } = self;
+        write!(f, "invalid {var}={value:?} (expected {expected})")
+    }
+}
+
+impl std::error::Error for ExecConfigError {}
+
+impl ExecConfig {
+    /// The defaults with a `threads` worker budget (floored at 1).
+    fn with_budget(threads: usize) -> Self {
+        Self {
+            threads: threads.max(1),
+            batch: DEFAULT_BATCH,
+            tile: DEFAULT_TILE,
+            kernel: KernelChoice::Auto,
+            intra: IntraChoice::Auto,
+        }
+    }
+
+    /// Resolves the five `SPARKXD_*` engine variables and
+    /// `SPARKXD_TELEMETRY` — the library's one environment read. Returns
+    /// the config plus the telemetry mode for the caller to install with
+    /// `sparkxd_telemetry::set_mode`.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecConfigError`] for the first unparsable variable.
+    pub fn from_env() -> Result<(Self, Mode), ExecConfigError> {
+        Self::from_lookup(|var| std::env::var(var).ok())
+    }
+
+    /// [`from_env`](Self::from_env) over an arbitrary variable lookup:
+    /// unset variables keep their default, counts clamp `0` to `1` (all
+    /// numeric knobs mean "serial", never "off"), and spellings are
+    /// case-insensitive with surrounding whitespace ignored.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecConfigError`] for the first unparsable value.
+    pub(crate) fn from_lookup(
+        lookup: impl Fn(&str) -> Option<String>,
+    ) -> Result<(Self, Mode), ExecConfigError> {
+        fn knob<T>(
+            lookup: &impl Fn(&str) -> Option<String>,
+            (var, expected): (&'static str, &'static str),
+            default: T,
+            parse: impl Fn(&str) -> Option<T>,
+        ) -> Result<T, ExecConfigError> {
+            let Some(value) = lookup(var) else {
+                return Ok(default);
+            };
+            parse(&value).ok_or(ExecConfigError {
+                var,
+                value,
+                expected,
+            })
+        }
+        const COUNT: &str = "a non-negative integer";
+        const THREADS: (&str, &str) = ("SPARKXD_THREADS", COUNT);
+        const BATCH: (&str, &str) = ("SPARKXD_BATCH", COUNT);
+        const TILE: (&str, &str) = ("SPARKXD_TILE", COUNT);
+        const KERNEL: (&str, &str) = ("SPARKXD_KERNEL", "auto|scalar|avx2");
+        const INTRA: (&str, &str) = ("SPARKXD_INTRA", "auto|off|<worker count>");
+        const TELEMETRY: (&str, &str) = ("SPARKXD_TELEMETRY", "off|counters|spans");
+        let count = |raw: &str| raw.trim().parse::<usize>().ok().map(|n| n.max(1));
+        let d = Self::default();
+        let config = Self {
+            threads: knob(&lookup, THREADS, d.threads, count)?,
+            batch: knob(&lookup, BATCH, d.batch, count)?,
+            tile: knob(&lookup, TILE, d.tile, count)?,
+            kernel: knob(&lookup, KERNEL, d.kernel, KernelChoice::parse)?,
+            intra: knob(&lookup, INTRA, d.intra, IntraChoice::parse)?,
+        };
+        let telemetry = knob(&lookup, TELEMETRY, Mode::Off, Mode::parse)?;
+        Ok((config, telemetry))
+    }
+
+    /// Workers to use for `jobs` independent work items: the budget minus
+    /// the workers outer parallel levels already keep busy, never below 1
+    /// and never more than `jobs`.
+    pub fn worker_count(&self, jobs: usize) -> usize {
+        self.threads
+            .saturating_sub(BUSY_WORKERS.load(Ordering::Relaxed))
+            .max(1)
+            .min(jobs.max(1))
+    }
+}
+
+/// One line naming every resolved knob, e.g.
+/// `threads=2 batch=4 tile=512 kernel=auto(avx2) intra=auto` — the
+/// kernel shows the request and, in parentheses, what this host runs.
+impl std::fmt::Display for ExecConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "threads={} batch={} tile={} kernel={}({}) intra=",
+            self.threads,
+            self.batch,
+            self.tile,
+            self.kernel.name(),
+            self.kernel.resolve().name()
+        )?;
+        match self.intra {
+            IntraChoice::Auto => f.write_str("auto"),
+            IntraChoice::Off => f.write_str("off"),
+            IntraChoice::Workers(k) => write!(f, "{k}"),
         }
     }
 }
 
-/// The requested hot-loop kernel: the `SPARKXD_KERNEL` override if set
-/// and parsable, else [`KernelChoice::Auto`]. Like the numeric knobs, an
-/// unparsable value warns on stderr once per process and behaves as
-/// unset.
-pub fn kernel_choice() -> KernelChoice {
-    std::env::var(KERNEL_ENV)
-        .ok()
-        .and_then(|raw| parse_kernel_override(KERNEL_ENV, &raw))
-        .unwrap_or_default()
-}
-
-/// The parse half of [`kernel_choice`], separated from the environment
-/// read so the fallback behaviour is unit-testable without process-global
-/// env mutation (mirrors [`parse_usize_override`]).
-fn parse_kernel_override(var: &str, raw: &str) -> Option<KernelChoice> {
-    match KernelChoice::parse(raw) {
-        Some(choice) => Some(choice),
-        None => {
-            if warn_once(var) {
-                eprintln!(
-                    "sparkxd: ignoring unparsable {var}={raw:?} \
-                     (expected auto|scalar|avx2), using auto"
-                );
-            }
-            None
-        }
-    }
-}
-
-/// The resolved hot-loop kernel for this host: [`kernel_choice`] passed
-/// through [`KernelChoice::resolve`] (runtime feature detection). The
-/// kernel only ever changes wall time, never results.
-pub fn kernel() -> Kernel {
-    kernel_choice().resolve()
-}
-
-/// The requested intra-chunk tile-parallel mode of
+/// The intra-chunk tile-parallel mode of
 /// [`NetworkParams::run_batch`]'s drive sweep.
 ///
 /// Like every other engine knob, the mode only ever changes wall time,
@@ -296,9 +361,9 @@ pub enum IntraChoice {
     /// Always the serial sweep (the pre-PR-8 behaviour).
     Off,
     /// Pin exactly `k` sweep workers, ignoring the leftover budget (an
-    /// explicit oversubscription request, like `SPARKXD_THREADS` pinning
-    /// more threads than cores). Still clamped to the tile count and
-    /// still registered against the global budget.
+    /// explicit oversubscription request, like a `threads` budget above
+    /// the core count). Still clamped to the tile count and still
+    /// registered against the global budget.
     Workers(usize),
 }
 
@@ -321,38 +386,10 @@ impl IntraChoice {
     }
 }
 
-/// The requested intra-chunk tile-parallel mode: the `SPARKXD_INTRA`
-/// override if set and parsable, else [`IntraChoice::Auto`]. Like the
-/// other knobs, an unparsable value warns on stderr once per process and
-/// behaves as unset.
-pub fn intra_choice() -> IntraChoice {
-    std::env::var(INTRA_ENV)
-        .ok()
-        .and_then(|raw| parse_intra_override(INTRA_ENV, &raw))
-        .unwrap_or_default()
-}
-
-/// The parse half of [`intra_choice`], separated from the environment
-/// read so the fallback behaviour is unit-testable without process-global
-/// env mutation (mirrors [`parse_usize_override`]).
-fn parse_intra_override(var: &str, raw: &str) -> Option<IntraChoice> {
-    match IntraChoice::parse(raw) {
-        Some(choice) => Some(choice),
-        None => {
-            if warn_once(var) {
-                eprintln!(
-                    "sparkxd: ignoring unparsable {var}={raw:?} \
-                     (expected auto|off|<worker count>), using auto"
-                );
-            }
-            None
-        }
-    }
-}
-
-/// Resolves an [`IntraChoice`] for a sweep of `n_tiles` tiles into the
-/// worker count to use, together with the budget reservation those
-/// workers hold for the duration of the sweep.
+/// Resolves an [`IntraChoice`] for a sweep of `n_tiles` tiles under a
+/// `threads` worker budget into the worker count to use, together with
+/// the budget reservation those workers hold for the duration of the
+/// sweep.
 ///
 /// Fewer than two tiles, [`IntraChoice::Off`], or an exhausted budget
 /// under [`IntraChoice::Auto`] all fall back to `(1, None)` — the serial
@@ -360,6 +397,7 @@ fn parse_intra_override(var: &str, raw: &str) -> Option<IntraChoice> {
 /// ranges per worker; an idle worker would be pure dispatch overhead).
 pub fn intra_workers_for(
     choice: IntraChoice,
+    threads: usize,
     n_tiles: usize,
 ) -> (usize, Option<WorkerReservation>) {
     if n_tiles < 2 {
@@ -376,8 +414,7 @@ pub fn intra_workers_for(
             }
         }
         IntraChoice::Auto => {
-            let (extra, reservation) =
-                WorkerReservation::claim_leftover(configured_threads(), n_tiles - 1);
+            let (extra, reservation) = WorkerReservation::claim_leftover(threads, n_tiles - 1);
             if extra == 0 {
                 (1, None)
             } else {
@@ -387,57 +424,30 @@ pub fn intra_workers_for(
     }
 }
 
-/// Registers `var` in the warned-about set; `true` exactly once per
-/// variable per process, so repeated engine calls don't spam stderr.
-pub(crate) fn warn_once(var: &str) -> bool {
-    static WARNED: OnceLock<Mutex<BTreeSet<String>>> = OnceLock::new();
-    WARNED
-        .get_or_init(|| Mutex::new(BTreeSet::new()))
-        .lock()
-        .map(|mut seen| seen.insert(var.to_string()))
-        .unwrap_or(false)
-}
-
-/// Number of workers to use for `jobs` independent work items: the
-/// `SPARKXD_THREADS` override if set (via [`env_usize_override`]), else
-/// the machine's available parallelism — minus the workers outer parallel
-/// levels already keep busy, and never more than `jobs`.
-///
-/// The worker count only ever changes wall time, not results: every
-/// engine aggregate is bit-identical for any count by construction.
-pub fn worker_count(jobs: usize) -> usize {
-    configured_threads()
-        .saturating_sub(BUSY_WORKERS.load(Ordering::Relaxed))
-        .max(1)
-        .min(jobs.max(1))
-}
-
-/// The engine's configured total worker budget: the `SPARKXD_THREADS`
-/// override if set, else the machine's available parallelism. This is the
-/// cap every budget claim ([`WorkerReservation::claim_leftover`]) and
-/// leftover computation ([`worker_count`]) measures against.
+/// The default worker budget ([`ExecConfig::default`]'s `threads`).
 pub fn configured_threads() -> usize {
-    env_usize_override(THREADS_ENV).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
+    ExecConfig::default().threads
 }
 
-/// The engine's batch size: the `SPARKXD_BATCH` override if set (via
-/// [`env_usize_override`]), else [`DEFAULT_BATCH`]. Like the worker
-/// count, the batch size only ever changes wall time.
+/// The default batch size ([`DEFAULT_BATCH`]).
 pub fn batch_size() -> usize {
-    env_usize_override(BATCH_ENV).unwrap_or(DEFAULT_BATCH)
+    ExecConfig::default().batch
 }
 
-/// The drive matrix's neuron-tile width: the `SPARKXD_TILE` override if
-/// set (via [`env_usize_override`]), else [`DEFAULT_TILE`].
-/// [`NetworkParams::run_batch`] clamps the width into `[1, n_neurons]`,
-/// so any large value (e.g. `usize::MAX`) selects the untiled path. Like
-/// the batch size, the tile width only ever changes wall time.
+/// The default neuron-tile width ([`DEFAULT_TILE`]).
 pub fn tile_width() -> usize {
-    env_usize_override(TILE_ENV).unwrap_or(DEFAULT_TILE)
+    ExecConfig::default().tile
+}
+
+/// The kernel the default config runs on this host (runtime feature
+/// detection of [`KernelChoice::Auto`]).
+pub fn kernel() -> Kernel {
+    ExecConfig::default().kernel.resolve()
+}
+
+/// The default intra-chunk sweep mode ([`IntraChoice::Auto`]).
+pub fn intra_choice() -> IntraChoice {
+    ExecConfig::default().intra
 }
 
 /// The spike-train RNG of logical sample `sample_index` under `seed`.
@@ -450,7 +460,7 @@ pub fn sample_rng(seed: u64, sample_index: u64) -> StdRng {
 }
 
 /// Backstop on threads a [`WorkerPool`] will ever spawn — far above any
-/// sane `SPARKXD_THREADS` pin; explicit oversubscription requests beyond
+/// sane thread budget; explicit oversubscription requests beyond
 /// it degrade gracefully (the caller still completes every job itself).
 const MAX_POOL_THREADS: usize = 256;
 
@@ -826,145 +836,89 @@ pub(crate) fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
 /// bit-identical regardless of sharding, batch size or worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchEvaluator {
-    /// Pinned worker count; `None` resolves from `SPARKXD_THREADS` /
-    /// available parallelism at call time.
-    threads: Option<usize>,
-    /// Pinned batch size; `None` resolves from `SPARKXD_BATCH` /
-    /// [`DEFAULT_BATCH`] at call time.
-    batch: Option<usize>,
-    /// Pinned neuron-tile width; `None` resolves from `SPARKXD_TILE` /
-    /// [`DEFAULT_TILE`] at call time (inside `run_batch`).
-    tile: Option<usize>,
-    /// Pinned kernel request; `None` resolves from `SPARKXD_KERNEL` /
-    /// auto-detection at call time.
-    kernel: Option<KernelChoice>,
-    /// Pinned intra-chunk tile-parallel mode; `None` resolves from
-    /// `SPARKXD_INTRA` / [`IntraChoice::Auto`] at call time (inside
-    /// `run_batch`).
-    intra: Option<IntraChoice>,
-}
-
-/// One resolved `(batch, tile, kernel, intra)` execution point, handed
-/// intact to every shard of a parallel run.
-#[derive(Debug, Clone, Copy)]
-struct ExecPlan {
-    batch: usize,
-    tile: Option<usize>,
-    kernel: Option<KernelChoice>,
-    intra: Option<IntraChoice>,
+    /// Batch size, tile width, kernel, intra mode and worker budget.
+    exec: ExecConfig,
+    /// `true` when [`with_threads`](Self::with_threads) pinned the worker
+    /// count; otherwise each call sizes itself to the part of
+    /// `exec.threads` outer parallel levels leave free.
+    pinned: bool,
 }
 
 impl BatchEvaluator {
-    /// An evaluator that resolves its worker count, batch size, tile
-    /// width, kernel and intra mode from the environment on every call
-    /// (the default).
-    pub fn from_env() -> Self {
+    /// An evaluator running under `exec`, sized on every call to the
+    /// leftover of its worker budget (so nested fan-outs never
+    /// oversubscribe). [`Default`] is `new(ExecConfig::default())`.
+    pub fn new(exec: ExecConfig) -> Self {
         Self {
-            threads: None,
-            batch: None,
-            tile: None,
-            kernel: None,
-            intra: None,
+            exec,
+            pinned: false,
         }
     }
 
-    /// An evaluator pinned to exactly `threads` workers (ignores
-    /// `SPARKXD_THREADS`); `1` is fully serial.
+    /// An evaluator pinned to exactly `threads` workers, which are also
+    /// its whole budget; `1` is fully serial.
     pub fn with_threads(threads: usize) -> Self {
         Self {
-            threads: Some(threads.max(1)),
-            batch: None,
-            tile: None,
-            kernel: None,
-            intra: None,
+            exec: ExecConfig::with_budget(threads),
+            pinned: true,
         }
     }
 
-    /// Pins the batch size (ignores `SPARKXD_BATCH`); `1` presents one
-    /// sample per `run_batch` call. Builder style.
+    /// Pins the batch size; `1` presents one sample per `run_batch` call.
+    /// Builder style.
     pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = Some(batch.max(1));
+        self.exec.batch = batch.max(1);
         self
     }
 
-    /// Pins the drive matrix's neuron-tile width (ignores `SPARKXD_TILE`);
-    /// any value ≥ `n_neurons` (e.g. `usize::MAX`) forces the untiled
-    /// single-sweep path. Builder style.
+    /// Pins the drive matrix's neuron-tile width; any value ≥ `n_neurons`
+    /// (e.g. `usize::MAX`) forces the untiled single-sweep path. Builder
+    /// style.
     pub fn with_tile(mut self, tile: usize) -> Self {
-        self.tile = Some(tile.max(1));
+        self.exec.tile = tile.max(1);
         self
     }
 
-    /// Pins the hot-loop kernel request (ignores `SPARKXD_KERNEL`); the
-    /// request still resolves through runtime feature detection, so
-    /// [`KernelChoice::Avx2`] on a host without AVX2 degrades to the
-    /// portable kernel instead of faulting. Builder style; never changes
-    /// results, only wall time.
+    /// Pins the hot-loop kernel request; the request still resolves
+    /// through runtime feature detection, so [`KernelChoice::Avx2`] on a
+    /// host without AVX2 degrades to the portable kernel instead of
+    /// faulting. Builder style; never changes results, only wall time.
     pub fn with_kernel(mut self, kernel: KernelChoice) -> Self {
-        self.kernel = Some(kernel);
+        self.exec.kernel = kernel;
         self
     }
 
-    /// Pins the intra-chunk tile-parallel mode of the drive sweep
-    /// (ignores `SPARKXD_INTRA`): [`IntraChoice::Off`] is the serial
-    /// sweep, [`IntraChoice::Workers`]`(k)` pins `k` sweep workers,
+    /// Pins the intra-chunk tile-parallel mode of the drive sweep:
+    /// [`IntraChoice::Off`] is the serial sweep,
+    /// [`IntraChoice::Workers`]`(k)` pins `k` sweep workers,
     /// [`IntraChoice::Auto`] sizes to the leftover thread budget. Builder
     /// style; never changes results, only wall time.
     pub fn with_intra(mut self, intra: IntraChoice) -> Self {
-        self.intra = Some(intra);
+        self.exec.intra = intra;
         self
     }
 
     fn threads_for(&self, jobs: usize) -> usize {
-        match self.threads {
-            Some(t) => t.min(jobs.max(1)),
-            None => worker_count(jobs),
-        }
-    }
-
-    fn batch_for(&self) -> usize {
-        self.batch.unwrap_or_else(batch_size)
-    }
-
-    /// The resolved per-run execution knobs, bundled so every shard of a
-    /// parallel run receives one coherent `(batch, tile, kernel, intra)`
-    /// point.
-    fn exec_plan(&self) -> ExecPlan {
-        ExecPlan {
-            batch: self.batch_for(),
-            tile: self.tile,
-            kernel: self.kernel,
-            intra: self.intra,
+        if self.pinned {
+            self.exec.threads.min(jobs.max(1))
+        } else {
+            self.exec.worker_count(jobs)
         }
     }
 
     /// Presents every sample of `range` (batched in groups of
-    /// `plan.batch`) and hands each `(dataset index, spike counts)` to
+    /// `exec.batch`) and hands each `(dataset index, spike counts)` to
     /// `sink` in ascending index order.
     fn run_range(
+        &self,
         params: &NetworkParams,
         dataset: &Dataset,
         seed: u64,
         range: Range<usize>,
-        plan: ExecPlan,
         mut sink: impl FnMut(usize, Vec<u32>),
     ) {
-        let ExecPlan {
-            batch,
-            tile,
-            kernel,
-            intra,
-        } = plan;
-        let mut state = BatchState::for_params(params, batch);
-        if let Some(tile) = tile {
-            state = state.with_tile(tile);
-        }
-        if let Some(kernel) = kernel {
-            state = state.with_kernel(kernel);
-        }
-        if let Some(intra) = intra {
-            state = state.with_intra(intra);
-        }
+        let batch = self.exec.batch.max(1);
+        let mut state = BatchState::for_exec(params, &self.exec);
         let mut start = range.start;
         while start < range.end {
             let end = (start + batch).min(range.end);
@@ -988,11 +942,10 @@ impl BatchEvaluator {
         dataset: &Dataset,
         seed: u64,
     ) -> Vec<Vec<u32>> {
-        let plan = self.exec_plan();
         let chunks = chunk_ranges(dataset.len(), self.threads_for(dataset.len()));
         let per_chunk = parallel_map(&chunks, chunks.len(), |_, range| {
             let mut out = Vec::with_capacity(range.len());
-            Self::run_range(params, dataset, seed, range.clone(), plan, |_, counts| {
+            self.run_range(params, dataset, seed, range.clone(), |_, counts| {
                 out.push(counts)
             });
             out
@@ -1012,11 +965,10 @@ impl BatchEvaluator {
         if dataset.is_empty() {
             return 0.0;
         }
-        let plan = self.exec_plan();
         let chunks = chunk_ranges(dataset.len(), self.threads_for(dataset.len()));
         let correct_per_chunk = parallel_map(&chunks, chunks.len(), |_, range| {
             let mut correct = 0usize;
-            Self::run_range(params, dataset, seed, range.clone(), plan, |idx, counts| {
+            self.run_range(params, dataset, seed, range.clone(), |idx, counts| {
                 let (_, label) = dataset.get(idx);
                 if labeler.predict(&counts) == Some(label) {
                     correct += 1;
@@ -1037,11 +989,10 @@ impl BatchEvaluator {
         seed: u64,
     ) -> NeuronLabeler {
         let n_neurons = params.config().n_neurons;
-        let plan = self.exec_plan();
         let chunks = chunk_ranges(dataset.len(), self.threads_for(dataset.len()));
         let per_chunk = parallel_map(&chunks, chunks.len(), |_, range| {
             let mut response = vec![[0u64; 10]; n_neurons];
-            Self::run_range(params, dataset, seed, range.clone(), plan, |idx, counts| {
+            self.run_range(params, dataset, seed, range.clone(), |idx, counts| {
                 let (_, label) = dataset.get(idx);
                 for (j, &c) in counts.iter().enumerate() {
                     response[j][label as usize] += c as u64;
@@ -1183,75 +1134,155 @@ mod tests {
         let empty = SynthDigits.generate(0, 1);
         let labeler = NeuronLabeler::from_assignments(vec![None; 20]);
         assert_eq!(
-            BatchEvaluator::from_env().evaluate(&params, &empty, &labeler, 1),
+            BatchEvaluator::default().evaluate(&params, &empty, &labeler, 1),
             0.0
         );
     }
 
-    #[test]
-    fn usize_override_parses_and_clamps_zero_to_one() {
-        // Direct parse tests: no process-global env mutation, so this is
-        // race-free against sibling tests.
-        assert_eq!(parse_usize_override("T_CLAMP", "0"), Some(1));
-        assert_eq!(parse_usize_override("T_CLAMP", "1"), Some(1));
-        assert_eq!(parse_usize_override("T_CLAMP", "7"), Some(7));
-        assert_eq!(parse_usize_override("T_CLAMP", "  3 "), Some(3));
-    }
-
-    #[test]
-    fn unparsable_override_falls_back_and_warns_once() {
-        // Unparsable values behave as unset (the caller's default applies)…
-        assert_eq!(parse_usize_override("T_BAD_A", "fourteen"), None);
-        assert_eq!(parse_usize_override("T_BAD_A", "-2"), None);
-        assert_eq!(parse_usize_override("T_BAD_A", ""), None);
-        // …and the stderr warning fires once per variable, not per call.
-        assert!(warn_once("T_ONCE_UNIQUE"));
-        assert!(!warn_once("T_ONCE_UNIQUE"));
-        assert!(warn_once("T_ONCE_OTHER"), "distinct vars warn separately");
+    /// [`ExecConfig::from_lookup`] over a fixed variable table.
+    fn lookup(vars: &[(&str, &str)]) -> Result<(ExecConfig, Mode), ExecConfigError> {
+        ExecConfig::from_lookup(|var| {
+            vars.iter()
+                .find(|(name, _)| *name == var)
+                .map(|(_, value)| value.to_string())
+        })
     }
 
     #[test]
     fn env_override_reads_unset_variable_as_none() {
-        assert_eq!(env_usize_override("SPARKXD_TEST_NEVER_SET_VAR"), None);
+        // Unset variables keep their defaults.
+        assert_eq!(lookup(&[]), Ok((ExecConfig::default(), Mode::Off)));
+    }
+
+    #[test]
+    fn usize_override_parses_and_clamps_zero_to_one() {
+        for (raw, want) in [("0", 1), ("1", 1), ("7", 7), ("  3 ", 3)] {
+            let (threads, _) = lookup(&[("SPARKXD_THREADS", raw)]).unwrap();
+            let (batch, _) = lookup(&[("SPARKXD_BATCH", raw)]).unwrap();
+            let (tile, _) = lookup(&[("SPARKXD_TILE", raw)]).unwrap();
+            assert_eq!(
+                (threads.threads, batch.batch, tile.tile),
+                (want, want, want),
+                "raw={raw:?}"
+            );
+        }
     }
 
     #[test]
     fn kernel_override_parses_the_three_spellings() {
-        // Direct parse tests, mirroring the usize-override suite: no
-        // process-global env mutation, race-free against sibling tests.
-        assert_eq!(
-            parse_kernel_override("K_OK", "auto"),
-            Some(KernelChoice::Auto)
-        );
-        assert_eq!(
-            parse_kernel_override("K_OK", " Scalar "),
-            Some(KernelChoice::Scalar)
-        );
-        assert_eq!(
-            parse_kernel_override("K_OK", "AVX2"),
-            Some(KernelChoice::Avx2)
+        for (raw, want) in [
+            ("auto", KernelChoice::Auto),
+            (" Scalar ", KernelChoice::Scalar),
+            ("AVX2", KernelChoice::Avx2),
+        ] {
+            let (config, _) = lookup(&[("SPARKXD_KERNEL", raw)]).unwrap();
+            assert_eq!(config.kernel, want, "raw={raw:?}");
+        }
+    }
+
+    #[test]
+    fn intra_override_parses_the_three_spellings() {
+        // "0" clamps to the serial sweep, like every numeric knob.
+        for (raw, want) in [
+            ("auto", IntraChoice::Auto),
+            (" OFF ", IntraChoice::Off),
+            ("4", IntraChoice::Workers(4)),
+            ("0", IntraChoice::Workers(1)),
+            ("1", IntraChoice::Workers(1)),
+        ] {
+            let (config, _) = lookup(&[("SPARKXD_INTRA", raw)]).unwrap();
+            assert_eq!(config.intra, want, "raw={raw:?}");
+        }
+    }
+
+    #[test]
+    fn telemetry_mode_resolves_with_the_config() {
+        for (raw, want) in [
+            ("off", Mode::Off),
+            (" counters ", Mode::Counters),
+            ("SPANS", Mode::Spans),
+        ] {
+            let (config, mode) = lookup(&[("SPARKXD_TELEMETRY", raw)]).unwrap();
+            assert_eq!((config, mode), (ExecConfig::default(), want), "raw={raw:?}");
+        }
+    }
+
+    /// Each `(var, raw)` row must fail with the typed error naming `var`
+    /// and the `expected` spellings, in the value and in the message.
+    fn assert_typed_errors(expected: &'static str, rows: &[(&'static str, &str)]) {
+        for &(var, raw) in rows {
+            let err = lookup(&[(var, raw)]).unwrap_err();
+            assert_eq!(
+                err,
+                ExecConfigError {
+                    var,
+                    value: raw.to_string(),
+                    expected
+                }
+            );
+            let message = err.to_string();
+            assert!(
+                message.contains(var) && message.contains(expected),
+                "{message}"
+            );
+        }
+    }
+
+    #[test]
+    fn unparsable_count_is_a_typed_error() {
+        assert_typed_errors(
+            "a non-negative integer",
+            &[
+                ("SPARKXD_THREADS", "fourteen"),
+                ("SPARKXD_BATCH", "-2"),
+                ("SPARKXD_TILE", ""),
+            ],
         );
     }
 
     #[test]
-    fn unparsable_kernel_override_falls_back_and_warns_once() {
-        // Unknown spellings behave as unset (the `auto` default applies)…
-        assert_eq!(parse_kernel_override("K_BAD_A", "avx512"), None);
-        assert_eq!(parse_kernel_override("K_BAD_A", "fast"), None);
-        assert_eq!(parse_kernel_override("K_BAD_A", ""), None);
-        // …and the stderr warning fires once per variable, not per call
-        // (shared warn_once machinery with the numeric overrides).
-        assert!(warn_once("K_ONCE_UNIQUE"));
-        assert!(!warn_once("K_ONCE_UNIQUE"));
+    fn unparsable_kernel_is_a_typed_error() {
+        assert_typed_errors(
+            "auto|scalar|avx2",
+            &[
+                ("SPARKXD_KERNEL", "avx512"),
+                ("SPARKXD_KERNEL", "fast"),
+                ("SPARKXD_KERNEL", ""),
+            ],
+        );
+    }
+
+    #[test]
+    fn unparsable_intra_is_a_typed_error() {
+        assert_typed_errors(
+            "auto|off|<worker count>",
+            &[
+                ("SPARKXD_INTRA", "fast"),
+                ("SPARKXD_INTRA", "-3"),
+                ("SPARKXD_INTRA", ""),
+            ],
+        );
+    }
+
+    #[test]
+    fn unparsable_telemetry_mode_is_a_typed_error() {
+        assert_typed_errors("off|counters|spans", &[("SPARKXD_TELEMETRY", "verbose")]);
     }
 
     #[test]
     fn kernel_choice_defaults_to_auto_without_env() {
-        // No env override in the test process: the default applies and
-        // resolves to a kernel this host can execute.
-        assert_eq!(kernel_choice(), KernelChoice::Auto);
-        let resolved = kernel();
-        assert!(crate::kernels::Kernel::available().contains(&resolved));
+        let config = ExecConfig::default();
+        assert_eq!(config.kernel, KernelChoice::Auto);
+        assert!(crate::kernels::Kernel::available().contains(&kernel()));
+    }
+
+    #[test]
+    fn display_is_one_line_naming_every_knob() {
+        let kernel = KernelChoice::Auto.resolve().name();
+        assert_eq!(
+            ExecConfig::with_budget(2).to_string(),
+            format!("threads=2 batch=4 tile=512 kernel=auto({kernel}) intra=auto")
+        );
     }
 
     #[test]
@@ -1282,25 +1313,24 @@ mod tests {
 
     #[test]
     fn worker_count_respects_job_bound() {
-        assert_eq!(worker_count(0), 1);
-        assert_eq!(worker_count(1), 1);
-        assert!(worker_count(64) >= 1);
+        let exec = ExecConfig::default();
+        assert_eq!(exec.worker_count(0), 1);
+        assert_eq!(exec.worker_count(1), 1);
+        assert!(exec.worker_count(64) >= 1);
     }
 
     #[test]
     fn batch_size_floors_at_one() {
-        // No env override in the test process: the default applies.
-        assert!(batch_size() >= 1);
-        assert_eq!(BatchEvaluator::from_env().with_batch(0).batch_for(), 1);
-        assert_eq!(BatchEvaluator::from_env().with_batch(5).batch_for(), 5);
+        assert_eq!(batch_size(), DEFAULT_BATCH);
+        assert_eq!(BatchEvaluator::default().with_batch(0).exec.batch, 1);
+        assert_eq!(BatchEvaluator::default().with_batch(5).exec.batch, 5);
     }
 
     #[test]
     fn tile_width_defaults_and_floors_at_one() {
-        // No env override in the test process: the default applies.
         assert_eq!(tile_width(), DEFAULT_TILE);
-        assert_eq!(BatchEvaluator::from_env().with_tile(0).tile, Some(1));
-        assert_eq!(BatchEvaluator::from_env().with_tile(7).tile, Some(7));
+        assert_eq!(BatchEvaluator::default().with_tile(0).exec.tile, 1);
+        assert_eq!(BatchEvaluator::default().with_tile(7).exec.tile, 7);
     }
 
     #[test]
@@ -1331,37 +1361,17 @@ mod tests {
         // is race-free; the release check stays a lower bound.
         {
             let _outer = WorkerReservation::for_pool(100_000);
-            assert_eq!(worker_count(64), 1);
+            assert_eq!(ExecConfig::default().worker_count(64), 1);
         }
-        assert!(worker_count(64) >= 1, "budget released on drop");
-    }
-
-    #[test]
-    fn intra_override_parses_the_three_spellings() {
-        // Direct parse tests, mirroring the kernel-override suite: no
-        // process-global env mutation, race-free against sibling tests.
-        assert_eq!(IntraChoice::parse("auto"), Some(IntraChoice::Auto));
-        assert_eq!(IntraChoice::parse(" OFF "), Some(IntraChoice::Off));
-        assert_eq!(IntraChoice::parse("4"), Some(IntraChoice::Workers(4)));
-        assert_eq!(
-            IntraChoice::parse("0"),
-            Some(IntraChoice::Workers(1)),
-            "0 clamps to the serial sweep, like every numeric knob"
+        assert!(
+            ExecConfig::default().worker_count(64) >= 1,
+            "budget released on drop"
         );
-        assert_eq!(IntraChoice::parse("1"), Some(IntraChoice::Workers(1)));
-    }
-
-    #[test]
-    fn unparsable_intra_override_falls_back_and_warns_once() {
-        assert_eq!(parse_intra_override("I_BAD_A", "fast"), None);
-        assert_eq!(parse_intra_override("I_BAD_A", "-3"), None);
-        assert_eq!(parse_intra_override("I_BAD_A", ""), None);
-        assert!(warn_once("I_ONCE_UNIQUE"));
-        assert!(!warn_once("I_ONCE_UNIQUE"));
     }
 
     #[test]
     fn intra_choice_defaults_to_auto_without_env() {
+        assert_eq!(ExecConfig::default().intra, IntraChoice::Auto);
         assert_eq!(intra_choice(), IntraChoice::Auto);
     }
 
@@ -1369,12 +1379,12 @@ mod tests {
     fn intra_workers_fall_back_serial_when_not_worth_it() {
         // Fewer than two tiles: nothing to split, for every mode.
         for choice in [IntraChoice::Auto, IntraChoice::Off, IntraChoice::Workers(8)] {
-            assert_eq!(intra_workers_for(choice, 0).0, 1, "{choice:?}");
-            assert_eq!(intra_workers_for(choice, 1).0, 1, "{choice:?}");
+            assert_eq!(intra_workers_for(choice, 8, 0).0, 1, "{choice:?}");
+            assert_eq!(intra_workers_for(choice, 8, 1).0, 1, "{choice:?}");
         }
         // Off is always serial; explicit pins clamp to the tile count.
-        assert_eq!(intra_workers_for(IntraChoice::Off, 64).0, 1);
-        let (workers, reservation) = intra_workers_for(IntraChoice::Workers(8), 3);
+        assert_eq!(intra_workers_for(IntraChoice::Off, 8, 64).0, 1);
+        let (workers, reservation) = intra_workers_for(IntraChoice::Workers(8), 8, 3);
         assert_eq!(workers, 3, "pins clamp to n_tiles");
         assert!(
             reservation.is_some(),
@@ -1388,7 +1398,7 @@ mod tests {
         // resolve to the serial sweep (sibling tests only reserve more,
         // so the equality is race-free).
         let _outer = WorkerReservation::for_pool(100_000);
-        let (workers, reservation) = intra_workers_for(IntraChoice::Auto, 64);
+        let (workers, reservation) = intra_workers_for(IntraChoice::Auto, 8, 64);
         assert_eq!(workers, 1);
         assert!(reservation.is_none());
     }

@@ -9,17 +9,18 @@
 //!
 //! | kernel             | ISA                | selected by                         |
 //! |--------------------|--------------------|-------------------------------------|
-//! | [`Kernel::Scalar`] | portable           | `SPARKXD_KERNEL=scalar`, or `auto` on hosts without AVX2 |
-//! | [`Kernel::Avx2`]   | x86_64 AVX2        | `SPARKXD_KERNEL=avx2`, or `auto` on hosts with AVX2 |
+//! | [`Kernel::Scalar`] | portable           | `scalar`, or `auto` on hosts without AVX2 |
+//! | [`Kernel::Avx2`]   | x86_64 AVX2        | `avx2`, or `auto` on hosts with AVX2 |
 //!
-//! Selection starts from a [`KernelChoice`] (`auto` unless the
-//! `SPARKXD_KERNEL` environment variable or a builder such as
+//! Selection starts from a [`KernelChoice`] (`auto` unless
+//! [`ExecConfig::kernel`](crate::engine::ExecConfig::kernel) or a builder
+//! such as
 //! [`BatchEvaluator::with_kernel`](crate::engine::BatchEvaluator::with_kernel)
 //! says otherwise) and resolves through [`KernelChoice::resolve`], which
 //! consults [`is_x86_feature_detected!`] at runtime — `avx2` on a host
-//! without AVX2 warns once on stderr and falls back to the portable
-//! kernel, so a pinned configuration can never execute an unsupported
-//! instruction. Every dispatch method double-checks the feature before
+//! without AVX2 falls back to the portable kernel (the config's one-line
+//! `Display` shows what actually runs), so a pinned configuration can
+//! never execute an unsupported instruction. Every dispatch method double-checks the feature before
 //! entering a `#[target_feature]` function, so even a hand-constructed
 //! [`Kernel::Avx2`] is safe everywhere.
 //!
@@ -54,7 +55,8 @@ use crate::synapse::StoredWeights;
 
 /// A kernel *request*: what the caller asked for, before runtime feature
 /// detection. Parsed from `SPARKXD_KERNEL` (`auto` | `scalar` | `avx2`)
-/// or pinned via builder APIs; resolve to an executable [`Kernel`] with
+/// by [`ExecConfig::from_env`](crate::engine::ExecConfig::from_env) or
+/// pinned via builder APIs; resolve to an executable [`Kernel`] with
 /// [`KernelChoice::resolve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelChoice {
@@ -63,15 +65,15 @@ pub enum KernelChoice {
     Auto,
     /// Force the portable scalar kernel.
     Scalar,
-    /// Request the AVX2 kernel; falls back to scalar (with a once-per-
-    /// process stderr warning) when the host lacks AVX2.
+    /// Request the AVX2 kernel; falls back to scalar when the host lacks
+    /// AVX2.
     Avx2,
 }
 
 impl KernelChoice {
     /// Parses a `SPARKXD_KERNEL` value (case-insensitive, surrounding
     /// whitespace ignored). Returns `None` for anything that is not
-    /// `auto`, `scalar` or `avx2` — the caller decides how to warn.
+    /// `auto`, `scalar` or `avx2`.
     pub fn parse(raw: &str) -> Option<Self> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "auto" => Some(Self::Auto),
@@ -83,31 +85,12 @@ impl KernelChoice {
 
     /// Resolves the request against the host's actual features. `Auto`
     /// picks AVX2 when available; an explicit `Avx2` request on a host
-    /// without it warns once on stderr and degrades to [`Kernel::Scalar`]
-    /// rather than executing unsupported instructions.
+    /// without AVX2 degrades to [`Kernel::Scalar`] rather than executing
+    /// unsupported instructions.
     pub fn resolve(self) -> Kernel {
         match self {
-            Self::Scalar => Kernel::Scalar,
-            Self::Auto => {
-                if avx2_supported() {
-                    Kernel::Avx2
-                } else {
-                    Kernel::Scalar
-                }
-            }
-            Self::Avx2 => {
-                if avx2_supported() {
-                    Kernel::Avx2
-                } else {
-                    if crate::engine::warn_once("SPARKXD_KERNEL:avx2-unavailable") {
-                        eprintln!(
-                            "sparkxd: SPARKXD_KERNEL=avx2 requested but this host \
-                             has no AVX2; using the portable scalar kernel"
-                        );
-                    }
-                    Kernel::Scalar
-                }
-            }
+            Self::Auto | Self::Avx2 if avx2_supported() => Kernel::Avx2,
+            _ => Kernel::Scalar,
         }
     }
 
@@ -136,7 +119,7 @@ pub fn avx2_supported() -> bool {
 
 /// A resolved, executable kernel implementation. Obtain one from
 /// [`KernelChoice::resolve`] (or [`engine::kernel`](crate::engine::kernel)
-/// for the environment default); every method is safe on every host —
+/// for the default config); every method is safe on every host —
 /// [`Kernel::Avx2`] re-verifies the CPU feature before entering
 /// `#[target_feature]` code and otherwise runs the portable kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -307,7 +290,7 @@ pub struct LifLanes<'a> {
 /// unrelated plane addresses the hardware stride prefetcher cannot
 /// predict — so the sweep issues this across the upcoming slice to hide
 /// the inter-row latency bubble. Under the intra-chunk parallel sweep
-/// (`SPARKXD_INTRA`) the hints are per-worker: each range-job prefetches
+/// (`ExecConfig::intra`) the hints are per-worker: each range-job prefetches
 /// only its own tile slice of the next row, so a worker never pollutes a
 /// sibling core's L1 with lanes it will not stream. Purely a scheduling
 /// hint: results are unaffected on every target, and the function is a

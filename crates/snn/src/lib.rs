@@ -20,11 +20,11 @@
 //! * a **parallel batch-execution engine** sharding inference across a
 //!   persistent condvar-parked [`WorkerPool`] and presenting samples in
 //!   batched chunks — with an optional intra-chunk tile-parallel drive
-//!   sweep (`SPARKXD_INTRA`) — per-sample RNG streams keeping results
-//!   bit-identical for any worker count, batch size and sweep split
-//!   ([`engine`]);
+//!   sweep — per-sample RNG streams keeping results bit-identical for
+//!   any worker count, batch size and sweep split, all set by one
+//!   explicit [`ExecConfig`] ([`engine`]);
 //! * **runtime-dispatched SIMD kernels** for the hot inner loops —
-//!   portable scalar or x86_64 AVX2 (`SPARKXD_KERNEL`), bit-identical by
+//!   portable scalar or x86_64 AVX2 ([`KernelChoice`]), bit-identical by
 //!   construction ([`kernels`]);
 //! * weight **pruning** and **fixed-point quantisation** utilities used by
 //!   the paper's combined-techniques analyses ([`prune`], [`quant`]).
@@ -65,7 +65,7 @@ pub mod stdp;
 pub mod synapse;
 
 pub use coding::PoissonEncoder;
-pub use engine::{BatchEvaluator, IntraChoice, WorkerPool};
+pub use engine::{BatchEvaluator, ExecConfig, ExecConfigError, IntraChoice, WorkerPool};
 pub use eval::{ClassVotes, NeuronLabeler};
 pub use kernels::{Kernel, KernelChoice};
 pub use network::{BatchState, DiehlCookNetwork, NetworkParams, SnnConfig};

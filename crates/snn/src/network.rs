@@ -18,7 +18,7 @@
 //! through [`NetworkParams::run_batch`], which presents B samples together
 //! and streams each [`EffectivePlane`] row once per batch into a
 //! `[B × n_neurons]` drive matrix, swept in cache-sized neuron tiles
-//! (`SPARKXD_TILE`) so the resident working set stays L1-sized at the
+//! ([`ExecConfig::tile`]) so the resident working set stays L1-sized at the
 //! paper's N3600. Training runs the same lane step on a one-sample
 //! [`BatchState`], reading the stored rows STDP rewrites every timestep.
 //! Per-sample RNG streams keep inference **bit-identical** for any batch
@@ -28,7 +28,7 @@
 //! The hot inner loops (drive accumulation, LIF lane integration, the
 //! inhibition sweep) run through the runtime-dispatched
 //! [`Kernel`](crate::kernels::Kernel) layer — portable scalar or x86_64
-//! AVX2, selected by `SPARKXD_KERNEL` / [`BatchState::with_kernel`] —
+//! AVX2, selected by [`ExecConfig::kernel`] / [`BatchState::with_kernel`] —
 //! whose lanes compute the exact scalar IEEE sequence, so the kernel
 //! choice never changes results either.
 //!
@@ -38,7 +38,7 @@
 //! [`BatchEvaluator`](crate::engine::BatchEvaluator).
 
 use crate::coding::PoissonEncoder;
-use crate::engine::{BatchEvaluator, IntraChoice};
+use crate::engine::{BatchEvaluator, ExecConfig, IntraChoice};
 use crate::eval::NeuronLabeler;
 use crate::kernels::{Kernel, KernelChoice, LifLanes};
 use crate::neuron::LifConfig;
@@ -247,20 +247,18 @@ impl NetworkParams {
     /// inhibition then run per sample over the full population (hard WTA
     /// and inhibition strength are global decisions).
     ///
-    /// The tile width comes from [`BatchState::with_tile`] if pinned, else
-    /// the `SPARKXD_TILE` override / [`DEFAULT_TILE`](crate::engine::DEFAULT_TILE)
-    /// (via [`tile_width`](crate::engine::tile_width)), clamped into
-    /// `[1, n_neurons]`; any width ≥ `n_neurons` is exactly the untiled
+    /// The tile width is the state's ([`ExecConfig::tile`] or
+    /// [`BatchState::with_tile`]), clamped into `[1, n_neurons]`; any width ≥ `n_neurons` is exactly the untiled
     /// single-sweep path.
     ///
     /// The per-timestep tile sweep can additionally fan out across the
     /// persistent [`WorkerPool`](crate::engine::WorkerPool)
-    /// ([`BatchState::with_intra`] / `SPARKXD_INTRA`): contiguous tile
+    /// ([`ExecConfig::intra`] / [`BatchState::with_intra`]): contiguous tile
     /// ranges are assigned to range-jobs that write disjoint neuron
     /// lanes of every `[B × n]` slab, with a barrier before the
     /// (unchanged, global-per-sample) firing-commit/inhibition pass.
     /// The sweep stays serial when fewer than two tiles exist or the
-    /// global thread budget is exhausted.
+    /// state's thread budget is exhausted.
     ///
     /// Because sample `b` only ever consumes `rngs[b]`, per-sample
     /// accumulation visits rows in ascending order within every tile, and
@@ -299,12 +297,8 @@ impl NetworkParams {
             return Ok(counts);
         }
         state.begin_batch(&self.config, &self.thetas, b_count);
-        let tile = state
-            .tile
-            .unwrap_or_else(crate::engine::tile_width)
-            .min(n.max(1))
-            .max(1);
-        let kernel = state.kernel.unwrap_or_else(crate::engine::kernel);
+        let tile = state.exec.tile.min(n.max(1)).max(1);
+        let kernel = state.exec.kernel.resolve();
         // Resolve the intra-chunk sweep mode once per presented chunk: the
         // worker count claims its share of the global thread budget for
         // the duration of the call (released on return), and the tile list
@@ -313,8 +307,8 @@ impl NetworkParams {
         // reduction. Fewer than two tiles, `off`, or an exhausted budget
         // all leave `tile_jobs` empty and the sweep serial.
         let n_tiles = n.div_ceil(tile);
-        let intra = state.intra.unwrap_or_else(crate::engine::intra_choice);
-        let (intra_workers, _intra_budget) = crate::engine::intra_workers_for(intra, n_tiles);
+        let (intra_workers, _intra_budget) =
+            crate::engine::intra_workers_for(state.exec.intra, state.exec.threads, n_tiles);
         let tile_jobs: Vec<Range<usize>> = if intra_workers > 1 {
             crate::engine::chunk_ranges(n_tiles, intra_workers)
         } else {
@@ -355,9 +349,7 @@ impl NetworkParams {
             any_crossed,
             fired,
             intra_any,
-            tile: _,
-            kernel: _,
-            intra: _,
+            ..
         } = state;
         for _ in 0..self.config.timesteps {
             for (b, rng) in rngs.iter_mut().enumerate() {
@@ -740,52 +732,60 @@ pub struct BatchState {
     /// slot per *job* (not per thread), so the reduction is deterministic
     /// however the pool schedules the jobs.
     intra_any: Vec<bool>,
-    /// Pinned neuron-tile width; `None` resolves from `SPARKXD_TILE` /
-    /// [`DEFAULT_TILE`](crate::engine::DEFAULT_TILE) on every
-    /// [`NetworkParams::run_batch`] call.
-    tile: Option<usize>,
-    /// Pinned kernel; `None` resolves from `SPARKXD_KERNEL` /
-    /// auto-detection on every [`NetworkParams::run_batch`] call.
-    kernel: Option<Kernel>,
-    /// Pinned intra-chunk sweep mode; `None` resolves from
-    /// `SPARKXD_INTRA` / [`IntraChoice::Auto`] on every
-    /// [`NetworkParams::run_batch`] call.
-    intra: Option<IntraChoice>,
+    /// Tile width, kernel, intra mode and the worker budget an
+    /// [`IntraChoice::Auto`] sweep claims against (`batch` only sizes
+    /// the scratch up front).
+    exec: ExecConfig,
 }
 
 impl BatchState {
-    /// Scratch pre-sized for batches of up to `batch` samples of `params`.
-    pub fn for_params(params: &NetworkParams, batch: usize) -> Self {
-        let mut state = Self::default();
-        state.begin_batch(&params.config, &params.thetas, batch.max(1));
+    /// Scratch pre-sized for batches of up to `exec.batch` samples of
+    /// `params`, running with `exec`'s tile width, kernel, intra mode
+    /// and worker budget.
+    pub fn for_exec(params: &NetworkParams, exec: &ExecConfig) -> Self {
+        let mut state = Self {
+            exec: *exec,
+            ..Self::default()
+        };
+        state.begin_batch(&params.config, &params.thetas, exec.batch.max(1));
         state
     }
 
-    /// Pins the neuron-tile width of the drive sweep (ignores
-    /// `SPARKXD_TILE`); any width ≥ `n_neurons` (e.g. `usize::MAX`) is
-    /// the untiled single-sweep path. Builder style; never changes
-    /// results, only wall time.
+    /// Scratch pre-sized for batches of up to `batch` samples of
+    /// `params`, otherwise under [`ExecConfig::default`].
+    pub fn for_params(params: &NetworkParams, batch: usize) -> Self {
+        Self::for_exec(
+            params,
+            &ExecConfig {
+                batch,
+                ..ExecConfig::default()
+            },
+        )
+    }
+
+    /// Pins the neuron-tile width of the drive sweep; any width ≥
+    /// `n_neurons` (e.g. `usize::MAX`) is the untiled single-sweep path.
+    /// Builder style; never changes results, only wall time.
     pub fn with_tile(mut self, tile: usize) -> Self {
-        self.tile = Some(tile.max(1));
+        self.exec.tile = tile.max(1);
         self
     }
 
-    /// Pins the hot-loop kernel (ignores `SPARKXD_KERNEL`); the request
-    /// resolves through runtime feature detection, so an unsupported
-    /// request degrades to the portable kernel. Builder style; never
-    /// changes results, only wall time.
+    /// Pins the hot-loop kernel; the request resolves through runtime
+    /// feature detection, so an unsupported request degrades to the
+    /// portable kernel. Builder style; never changes results, only wall
+    /// time.
     pub fn with_kernel(mut self, kernel: KernelChoice) -> Self {
-        self.kernel = Some(kernel.resolve());
+        self.exec.kernel = kernel;
         self
     }
 
-    /// Pins the intra-chunk parallel mode of the drive tile sweep
-    /// (ignores `SPARKXD_INTRA`): [`IntraChoice::Off`] keeps the serial
-    /// sweep, [`IntraChoice::Workers`]`(k)` pins `k` sweep workers,
+    /// Pins the intra-chunk parallel mode of the drive tile sweep:
+    /// [`IntraChoice::Off`] keeps the serial sweep, [`IntraChoice::Workers`]`(k)` pins `k` sweep workers,
     /// [`IntraChoice::Auto`] sizes to the leftover thread budget. Builder
     /// style; never changes results, only wall time.
     pub fn with_intra(mut self, intra: IntraChoice) -> Self {
-        self.intra = Some(intra);
+        self.exec.intra = intra;
         self
     }
 
@@ -943,7 +943,7 @@ impl DiehlCookNetwork {
         let w_max = weights.w_max();
         let mut counts = vec![0u32; config.n_neurons];
         state.begin_batch(config, &params.thetas, 1);
-        let kernel = state.kernel.unwrap_or_else(crate::engine::kernel);
+        let kernel = state.exec.kernel.resolve();
         config.encoder.plan(pixels, &mut state.plans[0]);
         let BatchState {
             v,
@@ -1008,8 +1008,18 @@ impl DiehlCookNetwork {
     /// Panics if the dataset images do not match the input size (the
     /// datasets in this workspace always do).
     pub fn train_epoch(&mut self, dataset: &Dataset, seed: u64) -> u64 {
+        self.train_epoch_with(dataset, seed, &ExecConfig::default())
+    }
+
+    /// [`train_epoch`](Self::train_epoch) on `exec`'s kernel (the only
+    /// knob training reads; it never changes the trained bits).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset images do not match the input size.
+    pub fn train_epoch_with(&mut self, dataset: &Dataset, seed: u64, exec: &ExecConfig) -> u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut state = BatchState::default();
+        let mut state = BatchState::for_exec(&self.params, exec);
         let mut total = 0u64;
         for (image, _) in dataset.iter() {
             let counts = self
@@ -1026,13 +1036,13 @@ impl DiehlCookNetwork {
     /// the [`BatchEvaluator`](crate::engine::BatchEvaluator); the result is
     /// independent of the worker count and batch size.
     pub fn label_neurons(&self, dataset: &Dataset, seed: u64) -> NeuronLabeler {
-        BatchEvaluator::from_env().label_neurons(&self.params, dataset, seed)
+        BatchEvaluator::default().label_neurons(&self.params, dataset, seed)
     }
 
     /// Classification accuracy on `dataset` using `labeler`'s neuron
     /// assignments (inference only, parallel across samples).
     pub fn evaluate(&self, dataset: &Dataset, labeler: &NeuronLabeler, seed: u64) -> f64 {
-        BatchEvaluator::from_env().evaluate(&self.params, dataset, labeler, seed)
+        BatchEvaluator::default().evaluate(&self.params, dataset, labeler, seed)
     }
 }
 

@@ -24,12 +24,12 @@
 //! branches on the telemetry mode beyond "record or skip the recording".
 //! Consequently the engine's reproducibility guarantees are untouched —
 //! a `PipelineOutcome` and a serve run's sorted `(id → label, tier)`
-//! response set are bit-identical whether `SPARKXD_TELEMETRY` is `off`,
-//! `counters` or `spans` (pinned by the `thread_invariance` and
+//! response set are bit-identical whether the mode is `off`, `counters`
+//! or `spans` (pinned by the `thread_invariance` and
 //! `scheduler_determinism` suites, which run their matrices across the
 //! telemetry axis).
 //!
-//! # The `SPARKXD_TELEMETRY` knob
+//! # The telemetry mode (`SPARKXD_TELEMETRY`)
 //!
 //! | value | behaviour |
 //! |---|---|
@@ -37,11 +37,10 @@
 //! | `counters` | counters, gauges and histograms record; span *durations* aggregate into histograms but no trace events are kept |
 //! | `spans` | everything above plus a bounded in-memory trace-event buffer for the Chrome trace export |
 //!
-//! An unparsable value warns on stderr once per process and behaves as
-//! `off` (the `env_usize_override` parse-and-warn-once idiom from
-//! `sparkxd-snn::engine`). The variable is read **once**, on first use;
-//! tests that flip it mid-process must call [`force_mode_from_env`] (or
-//! [`set_mode`]) to make the change visible.
+//! This crate never reads the environment: the mode is `off` until
+//! [`set_mode`] installs another. Binaries resolve the variable together
+//! with the engine knobs (`sparkxd_snn::ExecConfig::from_env`, which
+//! rejects an unparsable value with a typed error) and install it.
 //!
 //! Disabled is genuinely cheap: every macro begins with a single relaxed
 //! load of a cached mode byte, and with `off` no site is ever
@@ -70,14 +69,10 @@
 //! vendored strategy combinators.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// Environment variable holding the telemetry mode.
-pub const TELEMETRY_ENV: &str = "SPARKXD_TELEMETRY";
 
 /// Cap on buffered trace events; spans beyond it are counted as dropped
 /// instead of growing the buffer without bound.
@@ -102,13 +97,21 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// Stable lowercase name, the same spelling the env knob accepts.
+    /// Stable lowercase name, the same spelling [`Mode::parse`] accepts.
     pub fn as_str(self) -> &'static str {
         match self {
             Mode::Off => "off",
             Mode::Counters => "counters",
             Mode::Spans => "spans",
         }
+    }
+
+    /// Parses a `SPARKXD_TELEMETRY` value (`off`, `counters` or `spans`;
+    /// case-insensitive, surrounding whitespace ignored).
+    pub fn parse(raw: &str) -> Option<Mode> {
+        [Mode::Off, Mode::Counters, Mode::Spans]
+            .into_iter()
+            .find(|m| raw.trim().eq_ignore_ascii_case(m.as_str()))
     }
 
     fn from_u8(raw: u8) -> Mode {
@@ -120,20 +123,14 @@ impl Mode {
     }
 }
 
-/// Sentinel for "not yet read from the environment".
-const MODE_UNSET: u8 = u8::MAX;
-
 /// Cached mode byte — the one relaxed load on every macro fast path.
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
+static MODE: AtomicU8 = AtomicU8::new(Mode::Off as u8);
 
-/// The active telemetry mode. Read from `SPARKXD_TELEMETRY` on the first
-/// call and cached; afterwards this is a single relaxed atomic load.
+/// The active telemetry mode: [`Mode::Off`] until [`set_mode`] installs
+/// another. A single relaxed atomic load.
 #[inline]
 pub fn mode() -> Mode {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_UNSET => init_mode(),
-        raw => Mode::from_u8(raw),
-    }
+    Mode::from_u8(MODE.load(Ordering::Relaxed))
 }
 
 /// Whether counters (and everything cheaper) record.
@@ -142,66 +139,11 @@ pub fn counters_enabled() -> bool {
     mode() >= Mode::Counters
 }
 
-/// Re-reads `SPARKXD_TELEMETRY` and installs the result, returning it.
-/// The knob is normally read once per process; the invariance matrices
-/// flip the variable between runs and call this to make the flip
-/// visible.
-pub fn force_mode_from_env() -> Mode {
-    let m = mode_from_env();
-    MODE.store(m as u8, Ordering::Relaxed);
-    m
-}
-
-/// Installs `mode` directly, bypassing the environment. Test and bench
-/// hook (the nightly overhead measurement flips modes in-process).
+/// Installs `mode` process-wide. Binaries install the
+/// `SPARKXD_TELEMETRY` value their `ExecConfig::from_env` resolved;
+/// tests and benches flip modes in-process.
 pub fn set_mode(mode: Mode) {
     MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-#[cold]
-fn init_mode() -> Mode {
-    let m = mode_from_env();
-    MODE.store(m as u8, Ordering::Relaxed);
-    m
-}
-
-fn mode_from_env() -> Mode {
-    match std::env::var(TELEMETRY_ENV) {
-        Ok(raw) => parse_mode_override(TELEMETRY_ENV, &raw).unwrap_or(Mode::Off),
-        Err(_) => Mode::Off,
-    }
-}
-
-/// The parse half of the env read, separated so the fallback behaviour
-/// is unit-testable without process-global env mutation (mirrors
-/// `sparkxd-snn::engine::parse_usize_override`).
-fn parse_mode_override(var: &str, raw: &str) -> Option<Mode> {
-    match raw.trim() {
-        "off" => Some(Mode::Off),
-        "counters" => Some(Mode::Counters),
-        "spans" => Some(Mode::Spans),
-        _ => {
-            if warn_once(var) {
-                eprintln!(
-                    "sparkxd: ignoring unparsable {var}={raw:?} \
-                     (expected off|counters|spans), using off"
-                );
-            }
-            None
-        }
-    }
-}
-
-/// `true` the first time `var` is seen — callers gate their stderr
-/// warning on it so a hot loop cannot spam (same shape as the engine's
-/// `warn_once`, which is `pub(crate)` there).
-fn warn_once(var: &str) -> bool {
-    static WARNED: OnceLock<Mutex<BTreeSet<String>>> = OnceLock::new();
-    WARNED
-        .get_or_init(|| Mutex::new(BTreeSet::new()))
-        .lock()
-        .map(|mut seen| seen.insert(var.to_string()))
-        .unwrap_or(false)
 }
 
 // ---------------------------------------------------------------------------
@@ -1013,21 +955,16 @@ mod tests {
 
     #[test]
     fn mode_parse_accepts_the_three_levels_and_trims() {
-        assert_eq!(parse_mode_override("T_M1", "off"), Some(Mode::Off));
-        assert_eq!(
-            parse_mode_override("T_M1", " counters "),
-            Some(Mode::Counters)
-        );
-        assert_eq!(parse_mode_override("T_M1", "spans"), Some(Mode::Spans));
+        assert_eq!(Mode::parse("off"), Some(Mode::Off));
+        assert_eq!(Mode::parse(" counters "), Some(Mode::Counters));
+        assert_eq!(Mode::parse("Spans"), Some(Mode::Spans));
     }
 
     #[test]
-    fn mode_parse_rejects_junk_and_warns_once() {
-        assert_eq!(parse_mode_override("T_M_JUNK", "verbose"), None);
-        // Second unparsable read of the same var stays silent (shared
-        // warn-once machinery with the engine's numeric overrides).
-        assert_eq!(parse_mode_override("T_M_JUNK", "verbose"), None);
-        assert!(!warn_once("T_M_JUNK"));
+    fn mode_parse_rejects_junk() {
+        for raw in ["verbose", "", "on"] {
+            assert_eq!(Mode::parse(raw), None, "raw={raw:?}");
+        }
     }
 
     #[test]

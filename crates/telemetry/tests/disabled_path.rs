@@ -1,12 +1,11 @@
-//! The disabled-path contract: with `SPARKXD_TELEMETRY=off`, the
-//! recording macros record nothing and allocate nothing after the mode
-//! byte is initialised — the fast path is one relaxed atomic load and a
+//! The disabled-path contract: in `off` mode, the recording macros
+//! record nothing and allocate nothing — the fast path is one relaxed atomic load and a
 //! branch, so instrumented hot loops cost the same as uninstrumented
 //! ones.
 //!
 //! This file holds a single `#[test]` on purpose: the counting
-//! allocator and the cached mode byte are process-global, and cargo runs
-//! tests *within* a binary concurrently.
+//! allocator and the mode byte are process-global, and cargo runs tests
+//! *within* a binary concurrently.
 
 use sparkxd_telemetry::{self as telemetry, Mode, TelemetrySnapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -43,10 +42,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn off_mode_records_nothing_and_allocates_nothing() {
-    std::env::set_var(telemetry::TELEMETRY_ENV, "off");
-    // Initialise the cached mode byte (the one env read, which may
-    // allocate) before measuring the steady state.
-    assert_eq!(telemetry::force_mode_from_env(), Mode::Off);
+    telemetry::set_mode(Mode::Off);
+    assert_eq!(telemetry::mode(), Mode::Off);
 
     let before = thread_allocations();
     for i in 0..10_000u64 {

@@ -18,17 +18,19 @@ use sparkxd::data::{SynthDigits, SyntheticSource};
 use sparkxd::dram::DramConfig;
 use sparkxd::error::{BerCurve, ErrorModel, ErrorProfile, WeakCellMap};
 use sparkxd::snn::{DiehlCookNetwork, SnnConfig, WeightPrecision};
+use sparkxd_bench::exec_from_env;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let exec = exec_from_env();
     // 1. Train the edge model (small for the demo) and harden it.
     let train = SynthDigits.generate(300, 1);
     let test = SynthDigits.generate(100, 2);
     let snn_config = SnnConfig::for_neurons(60).with_timesteps(50);
     let mut net = DiehlCookNetwork::new(snn_config.clone());
     for epoch in 0..4 {
-        net.train_epoch(&train, 100 + epoch);
+        net.train_epoch_with(&train, 100 + epoch, &exec);
     }
-    let trainer = FaultAwareTrainer::new(TrainingConfig::paper_default());
+    let trainer = FaultAwareTrainer::new(TrainingConfig::paper_default(), exec);
     let outcome = trainer.improve(&mut net, &train, &test)?;
     println!(
         "hardened model: baseline {:.1}%, improved (clean) {:.1}%",
@@ -45,6 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ErrorModel::Model0,
         2,
         7,
+        &exec,
     );
     let target = outcome.baseline_accuracy - 0.01;
     let ber_th = curve.max_tolerable_ber(target).unwrap_or(1e-9);

@@ -11,18 +11,21 @@ use sparkxd::core::trace_gen::columns_for_network;
 use sparkxd::data::{SynthDigits, SyntheticSource};
 use sparkxd::dram::DramConfig;
 use sparkxd::error::{ErrorModel, ErrorProfile, Injector};
-use sparkxd::snn::{DiehlCookNetwork, SnnConfig, WeightPrecision};
+use sparkxd::snn::{BatchEvaluator, DiehlCookNetwork, SnnConfig, WeightPrecision};
+use sparkxd_bench::exec_from_env;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let exec = exec_from_env();
+    let eval = BatchEvaluator::new(exec);
     let train = SynthDigits.generate(300, 1);
     let test = SynthDigits.generate(100, 2);
     let snn_config = SnnConfig::for_neurons(60).with_timesteps(50);
     let mut net = DiehlCookNetwork::new(snn_config.clone());
     for epoch in 0..4 {
-        net.train_epoch(&train, 100 + epoch);
+        net.train_epoch_with(&train, 100 + epoch, &exec);
     }
-    let labeler = net.label_neurons(&train, 7);
-    let clean_accuracy = net.evaluate(&test, &labeler, 8);
+    let labeler = eval.label_neurons(net.params(), &train, 7);
+    let clean_accuracy = eval.evaluate(net.params(), &test, &labeler, 8);
     let clean = net.weights().clone();
     println!("clean accuracy: {:.1}%", clean_accuracy * 100.0);
 
@@ -49,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 injector.inject_with_placements(corrupted.as_mut_slice(), &placements, &profile)?;
             flips += report.flips;
             net.set_weights(corrupted);
-            total += net.evaluate(&test, &labeler, 9 + trial);
+            total += eval.evaluate(net.params(), &test, &labeler, 9 + trial);
         }
         println!(
             "  {:<28} {:.1}%   (~{} flips/trial)",
@@ -70,9 +73,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut corrupted = clean.clone();
     injector.inject_uniform(corrupted.as_mut_slice(), 1e-3);
     raw_net.set_weights(corrupted.clone());
-    let unclamped = raw_net.evaluate(&test, &labeler, 10);
+    let unclamped = eval.evaluate(raw_net.params(), &test, &labeler, 10);
     net.set_weights(corrupted);
-    let clamped = net.evaluate(&test, &labeler, 10);
+    let clamped = eval.evaluate(net.params(), &test, &labeler, 10);
     println!("\nMSB sensitivity at BER 1e-3 (same error pattern):");
     println!("  clamped synapse reads:   {:.1}%", clamped * 100.0);
     println!("  unclamped (raw FP32):    {:.1}%", unclamped * 100.0);

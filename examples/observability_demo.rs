@@ -18,13 +18,17 @@ use sparkxd::telemetry;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Spans mode: counters, histograms and the trace-event buffer all
     // live. Out-of-process the knob is `SPARKXD_TELEMETRY=spans`; an
-    // embedding program can pin it in code, as here.
+    // embedding program can pin it in code, as here, overriding it.
+    let exec = sparkxd_bench::exec_from_env();
     telemetry::set_mode(telemetry::Mode::Spans);
     // RAII writer: `trace.json` lands when this drops at the end of
     // main — early returns and panics included.
     let _trace = telemetry::TraceFile::new("trace.json");
 
-    let config = PipelineConfig::small_demo(42);
+    let config = PipelineConfig {
+        exec,
+        ..PipelineConfig::small_demo(42)
+    };
     println!(
         "observability demo: {} neurons on {}, telemetry spans mode",
         config.neurons,

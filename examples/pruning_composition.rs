@@ -13,19 +13,24 @@ use sparkxd::core::trace_gen::columns_for_words;
 use sparkxd::data::{SynthDigits, SyntheticSource};
 use sparkxd::dram::DramConfig;
 use sparkxd::error::{BerCurve, ErrorProfile, WeakCellMap};
-use sparkxd::snn::{prune_to_connectivity, DiehlCookNetwork, SnnConfig, WeightPrecision};
+use sparkxd::snn::{
+    prune_to_connectivity, BatchEvaluator, DiehlCookNetwork, SnnConfig, WeightPrecision,
+};
+use sparkxd_bench::exec_from_env;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let exec = exec_from_env();
+    let eval = BatchEvaluator::new(exec);
     let train = SynthDigits.generate(300, 1);
     let test = SynthDigits.generate(100, 2);
     let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(60).with_timesteps(50));
     for epoch in 0..4 {
-        net.train_epoch(&train, 100 + epoch);
+        net.train_epoch_with(&train, 100 + epoch, &exec);
     }
-    let labeler = net.label_neurons(&train, 7);
+    let labeler = eval.label_neurons(net.params(), &train, 7);
     println!(
         "dense accuracy: {:.1}%",
-        net.evaluate(&test, &labeler, 8) * 100.0
+        eval.evaluate(net.params(), &test, &labeler, 8) * 100.0
     );
 
     let accurate = DramConfig::lpddr3_1600_4gb();
@@ -47,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     for connectivity in [1.0, 0.8, 0.6, 0.5] {
         net.with_weights_mut(|w| prune_to_connectivity(w, connectivity));
-        let accuracy = net.evaluate(&test, &labeler, 8);
+        let accuracy = eval.evaluate(net.params(), &test, &labeler, 8);
         let stored = (total_weights as f64 * connectivity).round() as usize;
         let cols = columns_for_words(stored, accurate.geometry.col_bytes, WeightPrecision::Fp32);
         let acc_map = BaselineMapping.map(cols, &accurate.geometry, &flat, f64::MAX)?;

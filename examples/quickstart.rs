@@ -13,7 +13,10 @@
 use sparkxd::core::pipeline::{PipelineConfig, SparkXdPipeline};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = PipelineConfig::small_demo(42);
+    let config = PipelineConfig {
+        exec: sparkxd_bench::exec_from_env(),
+        ..PipelineConfig::small_demo(42)
+    };
     println!(
         "SparkXD quickstart: {} neurons on {}, requesting {}",
         config.neurons,

@@ -19,8 +19,10 @@ use sparkxd::serve::{RoutePolicy, ServeRequest, ServiceConfig, SparkXdService};
 use std::time::Duration;
 
 fn main() {
+    let exec = sparkxd_bench::exec_from_env();
     // One fault-aware model, three deployable operating points.
     let config = PipelineConfig {
+        exec,
         neurons: 40,
         timesteps: 40,
         train_samples: 120,
@@ -44,11 +46,12 @@ fn main() {
     let energy_mid = (tiers.tiers[0].dram_pass_mj + tiers.tiers[1].dram_pass_mj) / 2.0;
     let modest_floor = tiers.tiers[0].accuracy_estimate;
 
-    let (service, responses) = SparkXdService::start(
+    let (service, responses) = SparkXdService::start_with_exec(
         tiers.tiers.clone(),
-        ServiceConfig::from_env()
+        ServiceConfig::new(&exec)
             .with_batch(4)
             .with_max_wait(Duration::from_millis(1)),
+        &exec,
     );
 
     // A burst of 30 requests cycling through three policy shapes.

@@ -24,8 +24,8 @@
 //! * [`serve`] — online inference service: dynamic batching, per-request
 //!   voltage-tier routing, admission control and serving metrics.
 //! * [`telemetry`] — observation-only counters, gauges, histograms and
-//!   spans behind the `SPARKXD_TELEMETRY` knob, with JSON and Chrome
-//!   trace-event export.
+//!   spans behind one process-wide mode (`SPARKXD_TELEMETRY` in the
+//!   binaries), with JSON and Chrome trace-event export.
 //!
 //! ## Quickstart
 //!

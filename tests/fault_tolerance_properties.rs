@@ -42,7 +42,7 @@ fn clamped_network_never_panics_under_extreme_corruption() {
 fn spike_counts_are_reproducible_for_equal_seeds() {
     let (net, _) = tiny_trained_net();
     let test = SynthDigits.generate(5, 2);
-    let run = || BatchEvaluator::from_env().spike_counts(net.params(), &test, 77);
+    let run = || BatchEvaluator::default().spike_counts(net.params(), &test, 77);
     let a = run();
     assert!(a.iter().flatten().sum::<u32>() > 0, "trained net spikes");
     assert_eq!(a, run());

@@ -1,6 +1,6 @@
 //! Property tests for the intra-chunk parallel tile sweep: `run_batch`
 //! may fan the zero → accumulate → integrate phase of each timestep out
-//! across pool workers (`SPARKXD_INTRA` / `BatchState::with_intra`), with
+//! across pool workers (`ExecConfig::intra` / `BatchState::with_intra`), with
 //! every worker owning a contiguous range of tiles — disjoint neuron
 //! lanes of the `[B × n]` drive slab — and a barrier before the global
 //! firing-commit/inhibition pass. The split must never change a result:
@@ -15,55 +15,28 @@
 //! racy reduction, a lane range off by one at a worker boundary.
 //!
 //! Mirrors `tile_invariance.rs`: intra/tile/batch/thread/kernel pinning
-//! goes through the `BatchEvaluator`/`BatchState` APIs rather than the
-//! process-global environment, so these tests can run concurrently.
-//! (`thread_invariance.rs` owns the env-var axis.)
+//! goes through the `BatchEvaluator`/`BatchState` APIs, and every
+//! fixture-based case runs on the FP32 store and its packed int8 image.
 
+mod common;
+
+use common::PRECISIONS;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use sparkxd::data::{Dataset, SynthDigits, SyntheticSource};
 use sparkxd::snn::engine::{sample_rng, BatchEvaluator};
 use sparkxd::snn::{
-    BatchState, DiehlCookNetwork, IntraChoice, KernelChoice, NetworkParams, QuantizedImage,
-    SnnConfig, WeightPrecision,
+    BatchState, IntraChoice, KernelChoice, NetworkParams, SnnConfig, WeightPrecision,
 };
 use sparkxd_bench::oracle;
 use std::sync::OnceLock;
 
-/// Applies the CI storage knob: with `SPARKXD_PRECISION=int8|int16` set,
-/// the trained weights are replaced by their packed-image round-trip, so
-/// the whole invariance matrix runs on the quantised weight substrate
-/// (the corrupt words are planted afterwards and survive untouched).
-fn apply_storage_precision(net: &mut DiehlCookNetwork) {
-    let precision = WeightPrecision::from_env();
-    if precision.is_quantized() {
-        net.set_weights(QuantizedImage::roundtrip(net.weights(), precision));
-    }
-}
-
-/// A trained network at `n_neurons = 23` — prime, so no tile width in
-/// `2..23` divides it, every multi-tile sweep ends on a ragged tail tile,
-/// and no (tile, intra) pair splits the lane axis evenly — with
-/// hand-planted corruption: adjacent dead rows against the merged member
-/// lists, NaN/Inf on interior and last lanes, a negative word for the
-/// read clamp. The same adversarial fixture as `tile_invariance.rs`, so
-/// a sweep-split bug faces the same worst-case inputs the tiling did.
-fn fixture() -> &'static (NetworkParams, Dataset) {
-    static FIXTURE: OnceLock<(NetworkParams, Dataset)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let train = SynthDigits.generate(30, 1);
-        let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(23).with_timesteps(30));
-        net.train_epoch(&train, 3);
-        apply_storage_precision(&mut net);
-        net.with_weights_mut(|w| {
-            for j in 0..23 {
-                w.set(40, j, 0.0); // dead row in the active band
-                w.set(41, j, 0.0); // two adjacent dead rows
-            }
-            w.set(42, 3, f32::NAN);
-            w.set(42, 22, f32::INFINITY); // corrupt word on the last lane
-            w.set(43, 0, -2.0);
-        });
+/// The corrupted 23-neuron network per storage precision, trained once,
+/// plus its test set.
+fn fixture(precision: WeightPrecision) -> &'static (NetworkParams, Dataset) {
+    static FIXTURES: [OnceLock<(NetworkParams, Dataset)>; 2] = [OnceLock::new(), OnceLock::new()];
+    FIXTURES[usize::from(precision.is_quantized())].get_or_init(|| {
+        let net = common::corrupted_network(precision);
         (net.into_params(), SynthDigits.generate(13, 2))
     })
 }
@@ -96,32 +69,34 @@ fn intra_counts(
 
 #[test]
 fn issue_intra_matrix_is_bit_identical_to_scalar_reference() {
-    let (params, data) = fixture();
-    let reference = oracle::spike_counts(params, data, 31);
     // Workers(2/3/5) force real multi-worker splits regardless of host
-    // cores (explicit pins oversubscribe deliberately, like
-    // SPARKXD_THREADS); Auto exercises the budget-sized path — which may
+    // cores (explicit pins oversubscribe deliberately, like a thread
+    // budget above the core count); Auto exercises the budget-sized path — which may
     // resolve to the serial sweep on small hosts, itself a point worth
     // pinning. Tile widths reuse the boundary shapes of
     // `tile_invariance.rs`: at tile=1 each of 23 tiles is one lane, so
     // Workers(5) puts worker boundaries *inside* what a single tile
     // covers at any wider setting.
-    for intra in [
-        IntraChoice::Off,
-        IntraChoice::Auto,
-        IntraChoice::Workers(2),
-        IntraChoice::Workers(3),
-        IntraChoice::Workers(5),
-    ] {
-        for kernel in [KernelChoice::Scalar, KernelChoice::Auto] {
-            for tile in [1usize, 5, 9, 23, usize::MAX] {
-                for batch in [2usize, 13] {
-                    assert_eq!(
-                        intra_counts(params, data, 31, intra, kernel, batch, tile),
-                        reference,
-                        "intra={intra:?} kernel={} tile={tile} batch={batch}",
-                        kernel.name()
-                    );
+    for precision in PRECISIONS {
+        let (params, data) = fixture(precision);
+        let reference = oracle::spike_counts(params, data, 31);
+        for intra in [
+            IntraChoice::Off,
+            IntraChoice::Auto,
+            IntraChoice::Workers(2),
+            IntraChoice::Workers(3),
+            IntraChoice::Workers(5),
+        ] {
+            for kernel in [KernelChoice::Scalar, KernelChoice::Auto] {
+                for tile in [1usize, 5, 9, 23, usize::MAX] {
+                    for batch in [2usize, 13] {
+                        assert_eq!(
+                            intra_counts(params, data, 31, intra, kernel, batch, tile),
+                            reference,
+                            "{precision} intra={intra:?} kernel={} tile={tile} batch={batch}",
+                            kernel.name()
+                        );
+                    }
                 }
             }
         }
@@ -164,26 +139,29 @@ fn membrane_words_are_bit_identical_lane_by_lane() {
     // computed from every per-sample outcome — at full bit precision,
     // plus labels, across the intra axis driven through the evaluator
     // stack (which also layers chunk sharding on top of the sweep).
-    let (params, data) = fixture();
-    let labels_ref = oracle::label_neurons(params, data, 5);
-    let accuracy_ref = oracle::evaluate(params, data, &labels_ref, 5);
-    for intra in [
-        IntraChoice::Auto,
-        IntraChoice::Workers(2),
-        IntraChoice::Workers(7),
-    ] {
-        let eval = BatchEvaluator::with_threads(2)
-            .with_batch(5)
-            .with_tile(4)
-            .with_intra(intra);
-        let labels = eval.label_neurons(params, data, 5);
-        assert_eq!(labels.assignments(), labels_ref.assignments(), "{intra:?}");
-        let accuracy = eval.evaluate(params, data, &labels_ref, 5);
-        assert_eq!(
-            accuracy.to_bits(),
-            accuracy_ref.to_bits(),
-            "accuracy diverged under {intra:?}: {accuracy} vs {accuracy_ref}"
-        );
+    for precision in PRECISIONS {
+        let (params, data) = fixture(precision);
+        let labels_ref = oracle::label_neurons(params, data, 5);
+        let accuracy_ref = oracle::evaluate(params, data, &labels_ref, 5);
+        for intra in [
+            IntraChoice::Auto,
+            IntraChoice::Workers(2),
+            IntraChoice::Workers(7),
+        ] {
+            let eval = BatchEvaluator::with_threads(2)
+                .with_batch(5)
+                .with_tile(4)
+                .with_intra(intra);
+            let labels = eval.label_neurons(params, data, 5);
+            let point = format!("{precision} {intra:?}");
+            assert_eq!(labels.assignments(), labels_ref.assignments(), "{point}");
+            let accuracy = eval.evaluate(params, data, &labels_ref, 5);
+            assert_eq!(
+                accuracy.to_bits(),
+                accuracy_ref.to_bits(),
+                "accuracy diverged under {point}: {accuracy} vs {accuracy_ref}"
+            );
+        }
     }
 }
 
@@ -210,22 +188,24 @@ proptest! {
             IntraChoice::Workers(6),
         ][intra_idx];
         let kernel = [KernelChoice::Scalar, KernelChoice::Auto, KernelChoice::Avx2][kernel_idx];
-        let (params, data) = fixture();
         let split = BatchEvaluator::with_threads(threads)
             .with_batch(batch)
             .with_tile(tile)
             .with_kernel(kernel)
             .with_intra(intra);
-        prop_assert_eq!(
-            split.spike_counts(params, data, seed),
-            oracle::spike_counts(params, data, seed)
-        );
-        let scalar_labels = oracle::label_neurons(params, data, seed);
-        let split_labels = split.label_neurons(params, data, seed);
-        prop_assert_eq!(split_labels.assignments(), scalar_labels.assignments());
-        prop_assert_eq!(
-            split.evaluate(params, data, &scalar_labels, seed),
-            oracle::evaluate(params, data, &scalar_labels, seed)
-        );
+        for precision in PRECISIONS {
+            let (params, data) = fixture(precision);
+            prop_assert_eq!(
+                split.spike_counts(params, data, seed),
+                oracle::spike_counts(params, data, seed)
+            );
+            let scalar_labels = oracle::label_neurons(params, data, seed);
+            let split_labels = split.label_neurons(params, data, seed);
+            prop_assert_eq!(split_labels.assignments(), scalar_labels.assignments());
+            prop_assert_eq!(
+                split.evaluate(params, data, &scalar_labels, seed),
+                oracle::evaluate(params, data, &scalar_labels, seed)
+            );
+        }
     }
 }

@@ -7,18 +7,20 @@
 //! tail alignment `n % 8 ∈ {0..7}` the 8-lane AVX2 bodies can mishandle.
 //!
 //! Mirrors `tile_invariance.rs`: kernel pinning goes through the
-//! `BatchEvaluator::with_kernel` / `BatchState::with_kernel` APIs rather
-//! than the process-global `SPARKXD_KERNEL`, so these tests can run
-//! concurrently. (`thread_invariance.rs` owns the env-var axis.)
+//! `BatchEvaluator::with_kernel` / `BatchState::with_kernel` APIs, and
+//! every fixture-based case runs on the FP32 store and its packed int8
+//! image.
 
+mod common;
+
+use common::PRECISIONS;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use sparkxd::data::{Dataset, SynthDigits, SyntheticSource};
 use sparkxd::snn::engine::{sample_rng, BatchEvaluator};
 use sparkxd::snn::kernels::LifLanes;
 use sparkxd::snn::{
-    BatchState, DiehlCookNetwork, IntraChoice, Kernel, KernelChoice, LifConfig, NetworkParams,
-    QuantizedImage, SnnConfig, WeightPrecision,
+    BatchState, IntraChoice, Kernel, KernelChoice, LifConfig, NetworkParams, WeightPrecision,
 };
 use sparkxd_bench::oracle;
 use std::sync::OnceLock;
@@ -160,39 +162,14 @@ fn issue_every_tail_alignment_is_bit_identical_across_kernels() {
     }
 }
 
-/// Applies the CI storage knob: with `SPARKXD_PRECISION=int8|int16` set,
-/// the trained weights are replaced by their packed-image round-trip, so
-/// the whole invariance matrix runs on the quantised weight substrate
-/// (the corrupt words are planted afterwards and survive untouched).
-fn apply_storage_precision(net: &mut DiehlCookNetwork) {
-    let precision = WeightPrecision::from_env();
-    if precision.is_quantized() {
-        net.set_weights(QuantizedImage::roundtrip(net.weights(), precision));
-    }
-}
-
-/// A trained network at `n_neurons = 23` (prime: every multi-tile sweep
-/// ends on a ragged tail, and 23 % 8 = 7 exercises the widest SIMD tail)
-/// with hand-planted corruption: adjacent dead rows against the merged
-/// member lists, NaN/Inf on interior and last lanes, a negative word for
-/// the clamp, and a denormal for the effective-weight transform.
-fn fixture() -> &'static (NetworkParams, Dataset) {
-    static FIXTURE: OnceLock<(NetworkParams, Dataset)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let train = SynthDigits.generate(30, 1);
-        let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(23).with_timesteps(30));
-        net.train_epoch(&train, 3);
-        apply_storage_precision(&mut net);
-        net.with_weights_mut(|w| {
-            for j in 0..23 {
-                w.set(40, j, 0.0); // dead row in the active band
-                w.set(41, j, 0.0); // two adjacent dead rows
-            }
-            w.set(42, 3, f32::NAN);
-            w.set(42, 22, f32::INFINITY); // corrupt word on the last lane
-            w.set(43, 0, -2.0);
-            w.set(43, 7, 1.5e-41); // denormal on an 8-lane boundary
-        });
+/// The corrupted 23-neuron network per storage precision (23 % 8 = 7
+/// exercises the widest SIMD tail) plus a denormal on an 8-lane boundary
+/// for the effective-weight transform, trained once, and its test set.
+fn fixture(precision: WeightPrecision) -> &'static (NetworkParams, Dataset) {
+    static FIXTURES: [OnceLock<(NetworkParams, Dataset)>; 2] = [OnceLock::new(), OnceLock::new()];
+    FIXTURES[usize::from(precision.is_quantized())].get_or_init(|| {
+        let mut net = common::corrupted_network(precision);
+        net.with_weights_mut(|w| w.set(43, 7, 1.5e-41));
         (net.into_params(), SynthDigits.generate(13, 2))
     })
 }
@@ -223,20 +200,22 @@ fn batched_counts(
 
 #[test]
 fn issue_kernel_matrix_is_bit_identical_to_scalar_reference() {
-    let (params, data) = fixture();
-    let reference = oracle::spike_counts(params, data, 31);
     // Auto and Avx2 resolve to whatever the host supports (Avx2 falls
     // back to scalar off-AVX2 hosts, so the matrix is portable); tile
     // widths pin the same boundary shapes as `tile_invariance.rs`.
-    for choice in [KernelChoice::Scalar, KernelChoice::Auto, KernelChoice::Avx2] {
-        for tile in [1usize, 5, 9, 23, usize::MAX] {
-            for batch in [2usize, 5, 13] {
-                assert_eq!(
-                    batched_counts(params, data, 31, choice, batch, tile),
-                    reference,
-                    "kernel={} tile={tile} batch={batch}",
-                    choice.name()
-                );
+    for precision in PRECISIONS {
+        let (params, data) = fixture(precision);
+        let reference = oracle::spike_counts(params, data, 31);
+        for choice in [KernelChoice::Scalar, KernelChoice::Auto, KernelChoice::Avx2] {
+            for tile in [1usize, 5, 9, 23, usize::MAX] {
+                for batch in [2usize, 5, 13] {
+                    assert_eq!(
+                        batched_counts(params, data, 31, choice, batch, tile),
+                        reference,
+                        "{precision} kernel={} tile={tile} batch={batch}",
+                        choice.name()
+                    );
+                }
             }
         }
     }
@@ -275,22 +254,24 @@ proptest! {
             IntraChoice::Workers(2),
             IntraChoice::Workers(3),
         ][intra_idx];
-        let (params, data) = fixture();
         let simd = BatchEvaluator::with_threads(threads)
             .with_batch(batch)
             .with_tile(tile)
             .with_kernel(choice)
             .with_intra(intra);
-        prop_assert_eq!(
-            simd.spike_counts(params, data, seed),
-            oracle::spike_counts(params, data, seed)
-        );
-        let scalar_labels = oracle::label_neurons(params, data, seed);
-        let simd_labels = simd.label_neurons(params, data, seed);
-        prop_assert_eq!(simd_labels.assignments(), scalar_labels.assignments());
-        prop_assert_eq!(
-            simd.evaluate(params, data, &scalar_labels, seed),
-            oracle::evaluate(params, data, &scalar_labels, seed)
-        );
+        for precision in PRECISIONS {
+            let (params, data) = fixture(precision);
+            prop_assert_eq!(
+                simd.spike_counts(params, data, seed),
+                oracle::spike_counts(params, data, seed)
+            );
+            let scalar_labels = oracle::label_neurons(params, data, seed);
+            let simd_labels = simd.label_neurons(params, data, seed);
+            prop_assert_eq!(simd_labels.assignments(), scalar_labels.assignments());
+            prop_assert_eq!(
+                simd.evaluate(params, data, &scalar_labels, seed),
+                oracle::evaluate(params, data, &scalar_labels, seed)
+            );
+        }
     }
 }

@@ -1,15 +1,17 @@
-//! Spans-mode acceptance: one tiny pipeline run in `SPARKXD_TELEMETRY=spans`
-//! mode must produce a loadable Chrome trace-event file covering all
+//! Spans-mode acceptance: one tiny pipeline run in spans mode must produce a loadable Chrome trace-event file covering all
 //! seven pipeline stage spans plus at least one `WorkerPool` dispatch
 //! span and one DRAM replay span beneath them.
 //!
-//! Single `#[test]` on purpose: the telemetry mode is process-global,
-//! like the engine knobs the sibling invariance suites pin.
+//! Single `#[test]` on purpose: the telemetry mode and its span buffer
+//! are process-global.
 
 use sparkxd::core::pipeline::{PipelineConfig, SparkXdPipeline};
+use sparkxd::snn::ExecConfig;
 use sparkxd::telemetry;
 
-/// The tiny config the invariance suites use (seconds, not minutes).
+/// The tiny config the invariance suites use (seconds, not minutes), on
+/// two engine workers so at least one dispatch takes the pooled path (the
+/// single-worker fast path is deliberately un-instrumented).
 fn tiny_config(seed: u64) -> PipelineConfig {
     PipelineConfig {
         neurons: 20,
@@ -17,20 +19,20 @@ fn tiny_config(seed: u64) -> PipelineConfig {
         train_samples: 40,
         test_samples: 20,
         baseline_epochs: 1,
+        exec: ExecConfig {
+            threads: 2,
+            ..ExecConfig::default()
+        },
         ..PipelineConfig::small_demo(seed)
     }
 }
 
 #[test]
 fn spans_mode_pipeline_run_yields_a_loadable_chrome_trace() {
-    // Two engine workers so at least one dispatch takes the pooled path
-    // (the single-worker fast path is deliberately un-instrumented).
-    std::env::set_var("SPARKXD_THREADS", "2");
     telemetry::set_mode(telemetry::Mode::Spans);
     SparkXdPipeline::new(tiny_config(42))
         .run()
         .expect("tiny pipeline run");
-    std::env::remove_var("SPARKXD_THREADS");
 
     let path = std::env::temp_dir().join(format!("sparkxd_trace_{}.json", std::process::id()));
     let written = telemetry::write_chrome_trace(&path).expect("trace file written");

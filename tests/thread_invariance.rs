@@ -1,157 +1,134 @@
-//! Thread-count, batch-size, tile-width and kernel invariance: the parallel
-//! engine derives each sample's RNG from `(seed, sample_index)` and
-//! merges order-independent aggregates, and the batched read path
-//! accumulates per-sample drive in the same ascending-row order for any
-//! batch size and however the neuron axis is tiled — so a
-//! `PipelineOutcome` must be bit-identical whether the engine runs on
-//! 1 worker or many, one sample at a time (B = 1) or batched (any B),
-//! one drive tile or many, or the machine defaults.
+//! Thread-count, batch-size, tile-width, kernel, intra-sweep and telemetry
+//! invariance of a whole pipeline run: the parallel engine derives each
+//! sample's RNG from `(seed, sample_index)` and merges order-independent
+//! aggregates, and the batched read path accumulates per-sample drive in
+//! the same ascending-row order for any batch size and however the
+//! neuron axis is tiled — so a `PipelineOutcome` must be bit-identical
+//! whether the engine runs on 1 worker or many, one sample at a time
+//! (B = 1) or batched (any B), one drive tile or many, or the machine
+//! defaults, on the FP32 store and on packed int8 images alike.
 //!
-//! This file holds a single `#[test]` on purpose: `SPARKXD_THREADS`,
-//! `SPARKXD_BATCH`, `SPARKXD_TILE`, `SPARKXD_KERNEL`, `SPARKXD_INTRA`
-//! and `SPARKXD_TELEMETRY` are process-global, and cargo runs the tests
-//! *within* a binary concurrently — a sibling test could otherwise
-//! observe a half-way override.
+//! Every point is an ordinary `#[test]` over an explicit `ExecConfig`.
+//! A case may also see a sibling's (process-wide) telemetry mode, which
+//! is observation-only, so every combination must agree anyway.
 
 use sparkxd::core::pipeline::{PipelineConfig, PipelineOutcome, SparkXdPipeline};
+use sparkxd::snn::engine::DEFAULT_TILE;
+use sparkxd::snn::{ExecConfig, IntraChoice, KernelChoice, WeightPrecision};
+use sparkxd::telemetry::{self, Mode};
+use std::sync::OnceLock;
 
-const THREADS_ENV: &str = "SPARKXD_THREADS";
-const BATCH_ENV: &str = "SPARKXD_BATCH";
-const TILE_ENV: &str = "SPARKXD_TILE";
-const KERNEL_ENV: &str = "SPARKXD_KERNEL";
-const INTRA_ENV: &str = "SPARKXD_INTRA";
-const TELEMETRY_ENV: &str = "SPARKXD_TELEMETRY";
+const PRECISIONS: [WeightPrecision; 2] = [WeightPrecision::Fp32, WeightPrecision::Int8];
 
-/// Trimmed below `small_demo` so the matrix of full pipeline runs stays in
-/// seconds. Honours `SPARKXD_PRECISION` (the CI storage knob): with
-/// `int8`/`int16` set, every run in the matrix takes the packed
-/// quantised-image pipeline path, which must be just as engine-invariant
-/// as the FP32 one.
-fn tiny_config(seed: u64) -> PipelineConfig {
+/// Trimmed below `small_demo` so each full pipeline run stays in seconds.
+fn tiny_config(precision: WeightPrecision, exec: ExecConfig) -> PipelineConfig {
     PipelineConfig {
         neurons: 20,
         timesteps: 20,
         train_samples: 40,
         test_samples: 20,
         baseline_epochs: 1,
-        ..PipelineConfig::small_demo(seed)
+        exec,
+        ..PipelineConfig::small_demo(42)
     }
-    .with_precision(sparkxd::snn::WeightPrecision::from_env())
+    .with_precision(precision)
 }
 
-fn run_with(
-    threads: Option<&str>,
-    batch: Option<&str>,
-    tile: Option<&str>,
-    kernel: Option<&str>,
-    intra: Option<&str>,
-    telemetry: Option<&str>,
-) -> PipelineOutcome {
-    for (var, value) in [
-        (THREADS_ENV, threads),
-        (BATCH_ENV, batch),
-        (TILE_ENV, tile),
-        (KERNEL_ENV, kernel),
-        (INTRA_ENV, intra),
-        (TELEMETRY_ENV, telemetry),
-    ] {
-        match value {
-            Some(v) => std::env::set_var(var, v),
-            None => std::env::remove_var(var),
-        }
-    }
-    // The telemetry mode is read once per process by design; the matrix
-    // needs each run to honour its own knob value.
-    sparkxd::telemetry::force_mode_from_env();
-    let outcome = SparkXdPipeline::new(tiny_config(42))
+fn run(precision: WeightPrecision, exec: ExecConfig) -> PipelineOutcome {
+    SparkXdPipeline::new(tiny_config(precision, exec))
         .run()
-        .expect("tiny pipeline run");
-    for var in [
-        THREADS_ENV,
-        BATCH_ENV,
-        TILE_ENV,
-        KERNEL_ENV,
-        INTRA_ENV,
-        TELEMETRY_ENV,
-    ] {
-        std::env::remove_var(var);
+        .expect("tiny pipeline run")
+}
+
+/// The serial reference per precision, computed once: 1 worker, batch
+/// size 1 (one sample per `run_batch` call), default tiling, portable
+/// kernel, serial sweep.
+fn reference(precision: WeightPrecision) -> &'static PipelineOutcome {
+    static REFERENCES: [OnceLock<PipelineOutcome>; 2] = [OnceLock::new(), OnceLock::new()];
+    REFERENCES[usize::from(precision.is_quantized())].get_or_init(|| {
+        run(
+            precision,
+            exec(1, 1, DEFAULT_TILE, KernelChoice::Scalar, IntraChoice::Off),
+        )
+    })
+}
+
+/// Runs `exec` under `mode` on both storage precisions and compares each
+/// outcome with the serial reference. Derived `PartialEq` compares every
+/// f64 exactly: any order-dependent reduction, shared RNG stream, or
+/// batch-size read-path divergence shows up here.
+fn assert_matches_reference(exec: ExecConfig, mode: Mode) {
+    for precision in PRECISIONS {
+        let reference = reference(precision);
+        telemetry::set_mode(mode);
+        let outcome = run(precision, exec);
+        assert_eq!(
+            reference, &outcome,
+            "{precision} exec {exec} telemetry {mode:?} diverged from the serial reference"
+        );
     }
-    outcome
+}
+
+/// One point of the matrix.
+fn exec(
+    threads: usize,
+    batch: usize,
+    tile: usize,
+    kernel: KernelChoice,
+    intra: IntraChoice,
+) -> ExecConfig {
+    ExecConfig {
+        threads,
+        batch,
+        tile,
+        kernel,
+        intra,
+    }
 }
 
 #[test]
 fn pipeline_outcome_is_bit_identical_across_thread_and_batch_counts() {
-    // Serial reference: 1 worker, batch size 1 (one sample per
-    // `run_batch` call), default tiling, portable kernel, serial sweep,
-    // telemetry off.
-    let reference = run_with(
-        Some("1"),
-        Some("1"),
-        None,
-        Some("scalar"),
-        Some("off"),
-        Some("off"),
+    let exec = exec(2, 1, DEFAULT_TILE, KernelChoice::Scalar, IntraChoice::Off);
+    assert_matches_reference(exec, Mode::Counters);
+}
+
+#[test]
+fn single_lane_tiles_under_a_pinned_three_worker_sweep() {
+    // A `Workers(3)` pin forces a real multi-worker split regardless of
+    // host cores; the SIMD kernel falls back to scalar off-AVX2 hosts, so
+    // the point stays portable.
+    let exec = exec(1, 3, 1, KernelChoice::Avx2, IntraChoice::Workers(3));
+    assert_matches_reference(exec, Mode::Spans);
+}
+
+#[test]
+fn ragged_tiles_under_a_budget_sized_sweep() {
+    // A 7-wide sweep leaves a ragged tail tile at 20 neurons.
+    let exec = exec(2, 8, 7, KernelChoice::Avx2, IntraChoice::Auto);
+    assert_matches_reference(exec, Mode::Off);
+}
+
+#[test]
+fn oversized_tiles_and_batches_on_five_workers() {
+    // A tile wider than the population clamps back to one tile.
+    let exec = exec(5, 17, 64, KernelChoice::Auto, IntraChoice::Workers(2));
+    assert_matches_reference(exec, Mode::Spans);
+}
+
+#[test]
+fn machine_budget_with_a_four_worker_sweep() {
+    let machine = ExecConfig::default();
+    let exec = exec(
+        machine.threads,
+        machine.batch,
+        1,
+        KernelChoice::Avx2,
+        IntraChoice::Workers(4),
     );
-    // Derived PartialEq compares every f64 exactly: any order-dependent
-    // reduction, shared RNG stream, or batch-size read-path divergence
-    // would show up here. Tile widths straddle the 20-neuron config:
-    // single-lane tiles, a ragged 7-wide sweep, and an oversized width
-    // that clamps back to one tile. The kernel axis crosses the same
-    // points with the SIMD kernel pinned on (falls back to scalar on
-    // non-AVX2 hosts, so the matrix stays portable) and left on auto; the
-    // intra axis pins the sweep split explicitly (a `3` forces a real
-    // multi-worker split regardless of host cores), on budget-sized
-    // `auto`, and unset. The telemetry axis proves the observation-only
-    // contract: counters-only, full spans, and unset must all leave the
-    // outcome bit-identical to telemetry-off.
-    for (threads, batch, tile, kernel, intra, telemetry) in [
-        (
-            Some("2"),
-            Some("1"),
-            None,
-            Some("scalar"),
-            Some("off"),
-            Some("counters"),
-        ),
-        (
-            Some("1"),
-            Some("3"),
-            Some("1"),
-            Some("avx2"),
-            Some("3"),
-            Some("spans"),
-        ),
-        (
-            Some("2"),
-            Some("8"),
-            Some("7"),
-            Some("avx2"),
-            Some("auto"),
-            Some("off"),
-        ),
-        (
-            Some("5"),
-            Some("17"),
-            Some("64"),
-            Some("auto"),
-            Some("2"),
-            Some("spans"),
-        ),
-        (
-            None,
-            None,
-            Some("1"),
-            Some("avx2"),
-            Some("4"),
-            Some("counters"),
-        ),
-        (None, None, None, None, None, None),
-    ] {
-        let outcome = run_with(threads, batch, tile, kernel, intra, telemetry);
-        assert_eq!(
-            reference, outcome,
-            "threads={threads:?} batch={batch:?} tile={tile:?} kernel={kernel:?} \
-             intra={intra:?} telemetry={telemetry:?} diverged from the serial reference"
-        );
-    }
+    assert_matches_reference(exec, Mode::Counters);
+}
+
+#[test]
+fn machine_defaults() {
+    assert_matches_reference(ExecConfig::default(), Mode::Off);
 }

@@ -1,6 +1,6 @@
 //! Property tests for the neuron-tiled drive matrix: `run_batch` sweeps
 //! the `[B × n_neurons]` drive slab in cache-sized neuron tiles
-//! (`SPARKXD_TILE` / `BatchState::with_tile`), and the partition must
+//! (`ExecConfig::tile` / `BatchState::with_tile`), and the partition must
 //! never change a result — spike counts, accuracy and labels stay
 //! bit-identical to the scalar oracle (`sparkxd_bench::oracle`) for
 //! **any** tile width.
@@ -11,16 +11,18 @@
 //! (including `usize::MAX`), all crossed with dead-row skipping, read
 //! clamping and hard WTA (whose winner must be resolved *across* tile
 //! boundaries). Tile/batch/thread pinning goes through the
-//! `BatchEvaluator`/`BatchState` APIs rather than the process-global
-//! environment, so these tests can run concurrently.
+//! `BatchEvaluator`/`BatchState` APIs, and every fixture-based case runs
+//! on the FP32 store and its packed int8 image.
 
+mod common;
+
+use common::PRECISIONS;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use sparkxd::data::{Dataset, SynthDigits, SyntheticSource};
 use sparkxd::snn::engine::{sample_rng, BatchEvaluator};
 use sparkxd::snn::{
-    BatchState, DiehlCookNetwork, IntraChoice, KernelChoice, NetworkParams, QuantizedImage,
-    SnnConfig, WeightPrecision,
+    BatchState, IntraChoice, KernelChoice, NetworkParams, SnnConfig, WeightPrecision,
 };
 use sparkxd_bench::oracle;
 use std::sync::OnceLock;
@@ -46,56 +48,32 @@ fn tiled_counts(
     got
 }
 
-/// Applies the CI storage knob: with `SPARKXD_PRECISION=int8|int16` set,
-/// the trained weights are replaced by their packed-image round-trip, so
-/// the whole invariance matrix runs on the quantised weight substrate
-/// (the corrupt words are planted afterwards and survive untouched).
-fn apply_storage_precision(net: &mut DiehlCookNetwork) {
-    let precision = WeightPrecision::from_env();
-    if precision.is_quantized() {
-        net.set_weights(QuantizedImage::roundtrip(net.weights(), precision));
-    }
-}
-
-/// A trained network at `n_neurons = 23` — prime, so **no** tile width in
-/// `2..23` divides it and every multi-tile sweep ends on a ragged tail
-/// tile — with hand-planted corruption: dead (all-zero) input rows next
-/// to live ones exercise the merge's dead-row skipping against the
-/// recorded member lists, NaN/Inf/negative words exercise the read rule.
-fn fixture() -> &'static (NetworkParams, Dataset) {
-    static FIXTURE: OnceLock<(NetworkParams, Dataset)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let train = SynthDigits.generate(30, 1);
-        let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(23).with_timesteps(30));
-        net.train_epoch(&train, 3);
-        apply_storage_precision(&mut net);
-        net.with_weights_mut(|w| {
-            for j in 0..23 {
-                w.set(40, j, 0.0); // dead row in the active band
-                w.set(41, j, 0.0); // two adjacent dead rows
-            }
-            w.set(42, 3, f32::NAN);
-            w.set(42, 22, f32::INFINITY); // corrupt word on the last lane
-            w.set(43, 0, -2.0);
-        });
+/// The corrupted 23-neuron network per storage precision, trained once,
+/// plus its test set.
+fn fixture(precision: WeightPrecision) -> &'static (NetworkParams, Dataset) {
+    static FIXTURES: [OnceLock<(NetworkParams, Dataset)>; 2] = [OnceLock::new(), OnceLock::new()];
+    FIXTURES[usize::from(precision.is_quantized())].get_or_init(|| {
+        let net = common::corrupted_network(precision);
         (net.into_params(), SynthDigits.generate(13, 2))
     })
 }
 
 #[test]
 fn issue_tile_boundaries_are_bit_identical_to_scalar() {
-    let (params, data) = fixture();
-    let reference = oracle::spike_counts(params, data, 31);
     // 1: one lane per tile; 4/5/9: ragged tails at n = 23; 22: the last
     // lane alone in the tail tile; 23: exact fit (the untiled sweep);
     // 24 and usize::MAX: clamp back to a single tile.
-    for tile in [1usize, 4, 5, 9, 22, 23, 24, usize::MAX] {
-        for batch in [2usize, 5, 13] {
-            assert_eq!(
-                tiled_counts(params, data, 31, batch, tile),
-                reference,
-                "tile={tile} batch={batch}"
-            );
+    for precision in PRECISIONS {
+        let (params, data) = fixture(precision);
+        let reference = oracle::spike_counts(params, data, 31);
+        for tile in [1usize, 4, 5, 9, 22, 23, 24, usize::MAX] {
+            for batch in [2usize, 5, 13] {
+                assert_eq!(
+                    tiled_counts(params, data, 31, batch, tile),
+                    reference,
+                    "{precision} tile={tile} batch={batch}"
+                );
+            }
         }
     }
 }
@@ -184,22 +162,24 @@ proptest! {
             IntraChoice::Workers(2),
             IntraChoice::Workers(3),
         ][intra_idx];
-        let (params, data) = fixture();
         let tiled = BatchEvaluator::with_threads(threads)
             .with_batch(batch)
             .with_tile(tile)
             .with_kernel(kernel)
             .with_intra(intra);
-        prop_assert_eq!(
-            tiled.spike_counts(params, data, seed),
-            oracle::spike_counts(params, data, seed)
-        );
-        let scalar_labels = oracle::label_neurons(params, data, seed);
-        let tiled_labels = tiled.label_neurons(params, data, seed);
-        prop_assert_eq!(tiled_labels.assignments(), scalar_labels.assignments());
-        prop_assert_eq!(
-            tiled.evaluate(params, data, &scalar_labels, seed),
-            oracle::evaluate(params, data, &scalar_labels, seed)
-        );
+        for precision in PRECISIONS {
+            let (params, data) = fixture(precision);
+            prop_assert_eq!(
+                tiled.spike_counts(params, data, seed),
+                oracle::spike_counts(params, data, seed)
+            );
+            let scalar_labels = oracle::label_neurons(params, data, seed);
+            let tiled_labels = tiled.label_neurons(params, data, seed);
+            prop_assert_eq!(tiled_labels.assignments(), scalar_labels.assignments());
+            prop_assert_eq!(
+                tiled.evaluate(params, data, &scalar_labels, seed),
+                oracle::evaluate(params, data, &scalar_labels, seed)
+            );
+        }
     }
 }

@@ -8,11 +8,11 @@
 //! unclamped weight reads, each on a store with planted NaN, +Inf, -Inf
 //! and huge (±3e30) words in rows the digits keep active, re-planted
 //! between two epochs so the second epoch also starts from a corrupt
-//! store. Training resolves its kernel from `SPARKXD_KERNEL`, so the CI
-//! leg that pins the portable kernel checks the same values on it.
+//! store. Every case trains on both the portable scalar kernel and the
+//! host's `auto` kernel, which must reproduce the same bits.
 
 use sparkxd::data::{SynthDigits, SyntheticSource};
-use sparkxd::snn::{DiehlCookNetwork, SnnConfig, StoredWeights};
+use sparkxd::snn::{DiehlCookNetwork, ExecConfig, KernelChoice, SnnConfig, StoredWeights};
 
 /// FNV-1a over the bit patterns of `values`.
 fn fnv1a(values: &[f32]) -> u64 {
@@ -46,7 +46,11 @@ fn plant(w: &mut StoredWeights) {
 /// `(weight hash, theta hash, spikes of epoch 1, spikes of epoch 2)`.
 type Pin = (u64, u64, u64, u64);
 
-fn train(clamp_reads: bool, hard_wta: bool) -> Pin {
+fn train(clamp_reads: bool, hard_wta: bool, kernel: KernelChoice) -> Pin {
+    let exec = ExecConfig {
+        kernel,
+        ..ExecConfig::default()
+    };
     let mut config = SnnConfig::for_neurons(100)
         .with_timesteps(50)
         .with_clamp_reads(clamp_reads);
@@ -54,9 +58,9 @@ fn train(clamp_reads: bool, hard_wta: bool) -> Pin {
     let mut net = DiehlCookNetwork::new(config);
     let data = SynthDigits.generate(12, 17);
     net.with_weights_mut(plant);
-    let first = net.train_epoch(&data, 5);
+    let first = net.train_epoch_with(&data, 5, &exec);
     net.with_weights_mut(plant);
-    let second = net.train_epoch(&data, 6);
+    let second = net.train_epoch_with(&data, 6, &exec);
     (
         fnv1a(net.weights().as_slice()),
         fnv1a(net.thetas()),
@@ -94,11 +98,14 @@ const PINNED: [(bool, bool, Pin); 4] = [
 
 #[test]
 fn trained_weights_thetas_and_spikes_are_pinned() {
-    for (clamp_reads, hard_wta, pinned) in PINNED {
-        assert_eq!(
-            train(clamp_reads, hard_wta),
-            pinned,
-            "clamp_reads={clamp_reads} hard_wta={hard_wta}"
-        );
+    for kernel in [KernelChoice::Scalar, KernelChoice::Auto] {
+        for (clamp_reads, hard_wta, pinned) in PINNED {
+            assert_eq!(
+                train(clamp_reads, hard_wta, kernel),
+                pinned,
+                "clamp_reads={clamp_reads} hard_wta={hard_wta} kernel={}",
+                kernel.name()
+            );
+        }
     }
 }
