@@ -51,7 +51,7 @@ fn bench(c: &mut Criterion) {
     let mut weights = vec![0.5f32; 100_000];
     g.bench_function("inject_100k_words_ber1e-3", |b| {
         let mut inj = Injector::new(ErrorModel::Model0, 5);
-        b.iter(|| inj.inject_uniform(&mut weights, 1e-3).flips)
+        b.iter(|| inj.inject_uniform(weights.as_mut_slice(), 1e-3).flips)
     });
 
     let profile = ErrorProfile::uniform(1e-4, config.geometry.total_subarrays());

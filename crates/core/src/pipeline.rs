@@ -13,7 +13,7 @@ use crate::CoreError;
 use sparkxd_circuit::Volt;
 use sparkxd_data::{Dataset, SynthDigits, SynthFashion, SyntheticSource};
 use sparkxd_dram::DramConfig;
-use sparkxd_error::{BerCurve, Injector, WeakCellMap};
+use sparkxd_error::{BerCurve, Injector, PackedImage, WeakCellMap};
 use sparkxd_snn::{
     BatchEvaluator, DiehlCookNetwork, ExecConfig, QuantizedImage, SnnConfig, WeightPrecision,
 };
@@ -199,19 +199,17 @@ impl SparkXdPipeline {
     /// The flow is a fixed sequence of named stages, each feeding the
     /// parallel execution engine where its work is sample-parallel:
     ///
-    /// 1. [`stage_data`](Self::stage_data) — dataset generation;
-    /// 2. [`stage_baseline_model`](Self::stage_baseline_model) — error-free
-    ///    training of `model0` (sequential STDP);
-    /// 3. [`stage_fault_aware_training`](Self::stage_fault_aware_training)
-    ///    — Algorithm 1 (evaluations sample-parallel);
-    /// 4. [`stage_operating_point`](Self::stage_operating_point) — device
-    ///    error profile at the (possibly raised) operating voltage;
-    /// 5. [`stage_mapping`](Self::stage_mapping) — baseline vs SparkXD
-    ///    DRAM mappings;
-    /// 6. [`stage_operating_accuracy`](Self::stage_operating_accuracy) —
-    ///    mapped-error injection + parallel evaluation;
-    /// 7. [`stage_energy`](Self::stage_energy) — energy/throughput
-    ///    comparison.
+    /// 1. `stage_data` — dataset generation;
+    /// 2. `stage_baseline_model` — error-free training of `model0`
+    ///    (sequential STDP);
+    /// 3. `stage_fault_aware_training` — Algorithm 1 (evaluations
+    ///    sample-parallel);
+    /// 4. `stage_operating_point` — device error profile at the (possibly
+    ///    raised) operating voltage;
+    /// 5. `stage_mapping` — baseline vs SparkXD DRAM mappings;
+    /// 6. `stage_operating_accuracy` — mapped-error injection + parallel
+    ///    evaluation;
+    /// 7. `stage_energy` — energy/throughput comparison.
     ///
     /// # Errors
     ///
@@ -466,9 +464,8 @@ impl SparkXdPipeline {
         let placements = mapping.placements(image.words());
         let mut injector = Injector::new(cfg.training.error_model, cfg.device_seed ^ 0x0B5E);
         let word_bits = image.word_bits();
-        injector.inject_packed_with_placements(
-            image.payload_mut(),
-            word_bits,
+        injector.inject_with_placements(
+            &mut PackedImage::new(image.payload_mut(), word_bits),
             &placements,
             profile,
         )?;

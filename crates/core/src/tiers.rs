@@ -30,7 +30,7 @@ use crate::training::FaultAwareTrainer;
 use crate::CoreError;
 use sparkxd_circuit::Volt;
 use sparkxd_dram::DramConfig;
-use sparkxd_error::{Injector, WeakCellMap};
+use sparkxd_error::{Injector, PackedImage, WeakCellMap};
 use sparkxd_snn::engine::BatchEvaluator;
 use sparkxd_snn::{
     DiehlCookNetwork, NetworkParams, NeuronLabeler, QuantizedImage, WeightPrecision,
@@ -307,9 +307,8 @@ impl TierBuilder {
             let mut image = QuantizedImage::quantize(params.weights(), precision);
             let placements = mapping.placements(image.words());
             let word_bits = image.word_bits();
-            injector.inject_packed_with_placements(
-                image.payload_mut(),
-                word_bits,
+            injector.inject_with_placements(
+                &mut PackedImage::new(image.payload_mut(), word_bits),
                 &placements,
                 &profile,
             )?;

@@ -6,7 +6,7 @@
 //! the DRAM mapping.
 
 use sparkxd_data::Dataset;
-use sparkxd_error::{ErrorModel, Injector};
+use sparkxd_error::{ErrorModel, Injector, PackedImage};
 use sparkxd_snn::{
     BatchEvaluator, DiehlCookNetwork, ExecConfig, NeuronLabeler, QuantizedImage, WeightPrecision,
 };
@@ -131,7 +131,7 @@ pub fn analyze_tolerance_quantized(
         let mut total = 0.0;
         for trial in 0..trials.max(1) {
             let mut image = clean_image.clone();
-            injector.inject_uniform_packed(image.payload_mut(), word_bits, ber);
+            injector.inject_uniform(&mut PackedImage::new(image.payload_mut(), word_bits), ber);
             // Even the clean dequantised weights differ from the FP32
             // store in every row, so this path swaps full images rather
             // than touched rows.

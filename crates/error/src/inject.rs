@@ -1,14 +1,17 @@
 //! Bit-error injection into weight images.
 //!
-//! Injection operates on weight words of a configurable width: the raw
-//! FP32 image (`&mut [f32]`, 32 bits/word) or a packed quantised image
-//! (`&mut [u8]` payload at 8 or 16 bits/word — see `sparkxd-snn`'s
-//! `QuantizedImage`). Each word has a *placement* describing where its
-//! bits physically live in DRAM (which subarray, wordline and bitline
-//! range); the active [`ErrorModel`] and per-subarray [`ErrorProfile`]
-//! then determine each bit's flip probability. This is the paper's
-//! Section IV-B Step-1/Step-2: generate errors from the model, inject
-//! them into the DRAM locations holding the weights.
+//! Injection operates on any [`BitImage`] — weight words of a
+//! configurable width: the raw FP32 image (`[f32]`, 32 bits/word) or a
+//! [`PackedImage`] view of a quantised payload (8 or 16 bits/word — see
+//! `sparkxd-snn`'s `QuantizedImage`). The [`Injector`]'s four entry points
+//! (uniform or placement-aware, each with a `_tracked` twin that reports
+//! the flipped words) serve every format through that one trait. Each
+//! word has a *placement* describing where its bits physically live in
+//! DRAM (which subarray, wordline and bitline range); the active
+//! [`ErrorModel`] and per-subarray [`ErrorProfile`] then determine each
+//! bit's flip probability. This is the paper's Section IV-B
+//! Step-1/Step-2: generate errors from the model, inject them into the
+//! DRAM locations holding the weights.
 //!
 //! Flips always XOR the stored code — for FP32 through
 //! `to_bits`/`from_bits`, for packed images directly in the byte payload —
@@ -67,9 +70,12 @@ impl InjectionReport {
 
 /// A mutable view of a weight image as `words()` words of `word_bits()`
 /// bits each — the abstraction the injector flips through, so one
-/// implementation serves FP32 and packed quantised images alike.
-trait BitImage {
+/// implementation serves every word format: the FP32 image (`[f32]`) and
+/// packed quantised payloads ([`PackedImage`]).
+pub trait BitImage {
+    /// Number of weight words in the image.
     fn words(&self) -> usize;
+    /// Bits per word.
     fn word_bits(&self) -> u32;
     /// Stored value of bit `bit` of word `word` (Model 3 reads this).
     fn bit(&self, word: usize, bit: u32) -> bool;
@@ -78,11 +84,9 @@ trait BitImage {
 }
 
 /// FP32 image: one `f32` per word, flipped through `to_bits`/`from_bits`.
-struct F32Image<'a>(&'a mut [f32]);
-
-impl BitImage for F32Image<'_> {
+impl BitImage for [f32] {
     fn words(&self) -> usize {
-        self.0.len()
+        self.len()
     }
 
     fn word_bits(&self) -> u32 {
@@ -90,23 +94,30 @@ impl BitImage for F32Image<'_> {
     }
 
     fn bit(&self, word: usize, bit: u32) -> bool {
-        self.0[word].to_bits() & (1 << bit) != 0
+        self[word].to_bits() & (1 << bit) != 0
     }
 
     fn flip(&mut self, word: usize, bit: u32) {
-        self.0[word] = f32::from_bits(self.0[word].to_bits() ^ (1 << bit));
+        self[word] = f32::from_bits(self[word].to_bits() ^ (1 << bit));
     }
 }
 
 /// Packed little-endian image: `word_bits / 8` bytes per word, flipped
-/// directly in the payload.
-struct PackedImage<'a> {
+/// directly in the payload (e.g. `sparkxd-snn`'s
+/// `QuantizedImage::payload_mut`).
+pub struct PackedImage<'a> {
     bytes: &'a mut [u8],
     word_bits: u32,
 }
 
 impl<'a> PackedImage<'a> {
-    fn new(bytes: &'a mut [u8], word_bits: u32) -> Self {
+    /// Views `bytes` as words of `word_bits` bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word_bits` is not 8/16/32 or `bytes` is not a whole
+    /// number of words.
+    pub fn new(bytes: &'a mut [u8], word_bits: u32) -> Self {
         assert!(
             matches!(word_bits, 8 | 16 | 32),
             "packed word widths are 8, 16 or 32 bits"
@@ -155,13 +166,18 @@ impl BitImage for PackedImage<'_> {
 /// # Example
 ///
 /// ```
-/// use sparkxd_error::{ErrorModel, Injector};
+/// use sparkxd_error::{ErrorModel, Injector, PackedImage};
 ///
 /// let mut weights = vec![1.0f32; 1024];
 /// let mut injector = Injector::new(ErrorModel::Model0, 7);
-/// let report = injector.inject_uniform(&mut weights, 1e-3);
+/// let report = injector.inject_uniform(weights.as_mut_slice(), 1e-3);
 /// assert_eq!(report.words, 1024);
 /// assert!(weights.iter().any(|w| *w != 1.0) || report.flips == 0);
+///
+/// // The same entry point flips a packed int8 payload in place.
+/// let mut payload = vec![0u8; 1024];
+/// let report = injector.inject_uniform(&mut PackedImage::new(&mut payload, 8), 1e-3);
+/// assert_eq!((report.words, report.word_bits), (1024, 8));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Injector {
@@ -201,11 +217,18 @@ impl Injector {
     /// fault-aware training loop, where the baseline mapping stores weights
     /// contiguously in a bank and Model 0 is uniform over the bank.
     ///
+    /// `image` is any [`BitImage`]: an FP32 image (`&mut [f32]`) or a
+    /// packed quantised payload ([`PackedImage`]).
+    ///
     /// # Panics
     ///
     /// Panics if `ber` is not within `[0, 0.5]`.
-    pub fn inject_uniform(&mut self, weights: &mut [f32], ber: f64) -> InjectionReport {
-        self.inject_uniform_tracked(weights, ber, &mut Vec::new())
+    pub fn inject_uniform<I: BitImage + ?Sized>(
+        &mut self,
+        image: &mut I,
+        ber: f64,
+    ) -> InjectionReport {
+        self.inject_uniform_tracked(image, ber, &mut Vec::new())
     }
 
     /// [`inject_uniform`](Self::inject_uniform) that additionally appends
@@ -217,53 +240,7 @@ impl Injector {
     /// # Panics
     ///
     /// Panics if `ber` is not within `[0, 0.5]`.
-    pub fn inject_uniform_tracked(
-        &mut self,
-        weights: &mut [f32],
-        ber: f64,
-        touched_words: &mut Vec<usize>,
-    ) -> InjectionReport {
-        self.uniform_tracked_impl(&mut F32Image(weights), ber, touched_words)
-    }
-
-    /// Uniform injection into a packed quantised payload at `word_bits`
-    /// bits per word (8 | 16 | 32), flipping bits directly in the bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ber` is not within `[0, 0.5]`, if `word_bits` is not
-    /// 8/16/32, or if `payload` is not a whole number of words.
-    pub fn inject_uniform_packed(
-        &mut self,
-        payload: &mut [u8],
-        word_bits: u32,
-        ber: f64,
-    ) -> InjectionReport {
-        self.inject_uniform_packed_tracked(payload, word_bits, ber, &mut Vec::new())
-    }
-
-    /// [`inject_uniform_packed`](Self::inject_uniform_packed) that
-    /// additionally appends flipped word indices to `touched_words`
-    /// (ascending, deduplicated).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`inject_uniform_packed`](Self::inject_uniform_packed).
-    pub fn inject_uniform_packed_tracked(
-        &mut self,
-        payload: &mut [u8],
-        word_bits: u32,
-        ber: f64,
-        touched_words: &mut Vec<usize>,
-    ) -> InjectionReport {
-        self.uniform_tracked_impl(
-            &mut PackedImage::new(payload, word_bits),
-            ber,
-            touched_words,
-        )
-    }
-
-    fn uniform_tracked_impl<I: BitImage>(
+    pub fn inject_uniform_tracked<I: BitImage + ?Sized>(
         &mut self,
         image: &mut I,
         ber: f64,
@@ -297,19 +274,22 @@ impl Injector {
 
     /// Placement-aware injection: each word's bits flip according to the
     /// per-subarray rate of `profile`, spatially shaped by the error model.
+    /// Placements describe `image`'s words (for a packed image their
+    /// `bit_offset_in_row` steps by its word width, as produced by a
+    /// mapping built for that precision).
     ///
     /// # Errors
     ///
     /// [`InjectError::PlacementLengthMismatch`] if `placements` is shorter
-    /// than `weights`; [`InjectError::InvalidBer`] if any profile rate is
+    /// than the image; [`InjectError::InvalidBer`] if any profile rate is
     /// outside `[0, 0.5]`.
-    pub fn inject_with_placements(
+    pub fn inject_with_placements<I: BitImage + ?Sized>(
         &mut self,
-        weights: &mut [f32],
+        image: &mut I,
         placements: &[WordPlacement],
         profile: &ErrorProfile,
     ) -> Result<InjectionReport, InjectError> {
-        self.inject_with_placements_tracked(weights, placements, profile, &mut Vec::new())
+        self.inject_with_placements_tracked(image, placements, profile, &mut Vec::new())
     }
 
     /// [`inject_with_placements`](Self::inject_with_placements) that
@@ -319,69 +299,7 @@ impl Injector {
     /// # Errors
     ///
     /// Same as [`inject_with_placements`](Self::inject_with_placements).
-    pub fn inject_with_placements_tracked(
-        &mut self,
-        weights: &mut [f32],
-        placements: &[WordPlacement],
-        profile: &ErrorProfile,
-        touched_words: &mut Vec<usize>,
-    ) -> Result<InjectionReport, InjectError> {
-        self.placements_tracked_impl(&mut F32Image(weights), placements, profile, touched_words)
-    }
-
-    /// Placement-aware injection into a packed quantised payload at
-    /// `word_bits` bits per word. Placements describe `word_bits`-wide
-    /// words (their `bit_offset_in_row` steps by `word_bits`, as produced
-    /// by a mapping built for the quantised precision).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`inject_with_placements`](Self::inject_with_placements).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word_bits` is not 8/16/32 or `payload` is not a whole
-    /// number of words.
-    pub fn inject_packed_with_placements(
-        &mut self,
-        payload: &mut [u8],
-        word_bits: u32,
-        placements: &[WordPlacement],
-        profile: &ErrorProfile,
-    ) -> Result<InjectionReport, InjectError> {
-        self.inject_packed_with_placements_tracked(
-            payload,
-            word_bits,
-            placements,
-            profile,
-            &mut Vec::new(),
-        )
-    }
-
-    /// [`inject_packed_with_placements`](Self::inject_packed_with_placements)
-    /// that additionally appends flipped word indices to `touched_words`
-    /// (ascending, deduplicated).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`inject_with_placements`](Self::inject_with_placements).
-    pub fn inject_packed_with_placements_tracked(
-        &mut self,
-        payload: &mut [u8],
-        word_bits: u32,
-        placements: &[WordPlacement],
-        profile: &ErrorProfile,
-        touched_words: &mut Vec<usize>,
-    ) -> Result<InjectionReport, InjectError> {
-        self.placements_tracked_impl(
-            &mut PackedImage::new(payload, word_bits),
-            placements,
-            profile,
-            touched_words,
-        )
-    }
-
-    fn placements_tracked_impl<I: BitImage>(
+    pub fn inject_with_placements_tracked<I: BitImage + ?Sized>(
         &mut self,
         image: &mut I,
         placements: &[WordPlacement],
@@ -438,7 +356,7 @@ impl Injector {
     /// Injects into one same-subarray run of words `run` (global indices);
     /// flipped words are appended to `touched_words`. Returns
     /// `(flips, candidates)`.
-    fn inject_run<I: BitImage>(
+    fn inject_run<I: BitImage + ?Sized>(
         &self,
         image: &mut I,
         run: std::ops::Range<usize>,
@@ -547,7 +465,7 @@ mod tests {
     fn uniform_injection_statistics() {
         let mut weights = vec![0.5f32; 100_000];
         let mut inj = Injector::new(ErrorModel::Model0, 1);
-        let report = inj.inject_uniform(&mut weights, 1e-3);
+        let report = inj.inject_uniform(weights.as_mut_slice(), 1e-3);
         let expected = 3_200_000.0 * 1e-3;
         let sigma = (3_200_000.0f64 * 1e-3).sqrt();
         assert!(
@@ -586,7 +504,7 @@ mod tests {
             let n_words = 100_000;
             let mut payload = vec![0xA5u8; n_words * bytes_per_word];
             let mut inj = Injector::new(ErrorModel::Model0, 1);
-            let report = inj.inject_uniform_packed(&mut payload, word_bits, 1e-3);
+            let report = inj.inject_uniform(&mut PackedImage::new(&mut payload, word_bits), 1e-3);
             assert_eq!(report.words, n_words);
             assert_eq!(report.word_bits, word_bits);
             let n_bits = (n_words as f64) * word_bits as f64;
@@ -607,7 +525,8 @@ mod tests {
         let mut payload = vec![0x3Cu8; n_words * 2];
         let mut inj = Injector::new(ErrorModel::Model0, 11);
         let mut touched = Vec::new();
-        let report = inj.inject_uniform_packed_tracked(&mut payload, 16, 1e-3, &mut touched);
+        let report =
+            inj.inject_uniform_tracked(&mut PackedImage::new(&mut payload, 16), 1e-3, &mut touched);
         assert!(report.flips > 0);
         assert!(touched.windows(2).all(|p| p[0] < p[1]));
         let changed: Vec<usize> = (0..n_words)
@@ -617,7 +536,8 @@ mod tests {
 
         // Identical seed/round via the untracked API corrupts identically.
         let mut payload2 = vec![0x3Cu8; n_words * 2];
-        Injector::new(ErrorModel::Model0, 11).inject_uniform_packed(&mut payload2, 16, 1e-3);
+        Injector::new(ErrorModel::Model0, 11)
+            .inject_uniform(&mut PackedImage::new(&mut payload2, 16), 1e-3);
         assert_eq!(payload, payload2);
     }
 
@@ -636,7 +556,11 @@ mod tests {
         let profile = ErrorProfile::from_rates(1e-2, vec![0.0, 1e-2]);
         let mut inj = Injector::new(ErrorModel::Model0, 3);
         let report = inj
-            .inject_packed_with_placements(&mut payload, 8, &placements, &profile)
+            .inject_with_placements(
+                &mut PackedImage::new(&mut payload, 8),
+                &placements,
+                &profile,
+            )
             .unwrap();
         assert!(report.flips > 0);
         assert_eq!(report.word_bits, 8);
@@ -656,7 +580,11 @@ mod tests {
         let profile = ErrorProfile::uniform(1e-3, 1);
         let model = ErrorModel::Model1 { weak_fraction: 0.1 };
         let report = Injector::new(model, 77)
-            .inject_packed_with_placements(&mut payload, 8, &placements, &profile)
+            .inject_with_placements(
+                &mut PackedImage::new(&mut payload, 8),
+                &placements,
+                &profile,
+            )
             .unwrap();
         assert!(report.flips > 0);
         for (word, &byte) in payload.iter().enumerate() {
@@ -676,12 +604,12 @@ mod tests {
     fn packed_rejects_ragged_payloads_and_odd_widths() {
         let mut inj = Injector::new(ErrorModel::Model0, 1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            inj.inject_uniform_packed(&mut [0u8; 3], 16, 1e-3)
+            inj.inject_uniform(&mut PackedImage::new(&mut [0u8; 3], 16), 1e-3)
         }));
         assert!(result.is_err(), "3 bytes is not a whole number of u16s");
         let mut inj = Injector::new(ErrorModel::Model0, 1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            inj.inject_uniform_packed(&mut [0u8; 4], 12, 1e-3)
+            inj.inject_uniform(&mut PackedImage::new(&mut [0u8; 4], 12), 1e-3)
         }));
         assert!(result.is_err(), "12-bit words are unsupported");
     }
@@ -691,7 +619,7 @@ mod tests {
         let run = |seed| {
             let mut w = vec![1.0f32; 10_000];
             let mut inj = Injector::new(ErrorModel::Model0, seed);
-            inj.inject_uniform(&mut w, 1e-3);
+            inj.inject_uniform(w.as_mut_slice(), 1e-3);
             w
         };
         assert_eq!(run(5), run(5));
@@ -701,8 +629,8 @@ mod tests {
         let mut inj = Injector::new(ErrorModel::Model0, 5);
         let mut w1 = vec![1.0f32; 10_000];
         let mut w2 = vec![1.0f32; 10_000];
-        inj.inject_uniform(&mut w1, 1e-3);
-        inj.inject_uniform(&mut w2, 1e-3);
+        inj.inject_uniform(w1.as_mut_slice(), 1e-3);
+        inj.inject_uniform(w2.as_mut_slice(), 1e-3);
         assert_ne!(w1, w2);
         assert_eq!(inj.round(), 2);
     }
@@ -713,7 +641,7 @@ mod tests {
         let mut w = vec![1.0f32; n];
         let mut inj = Injector::new(ErrorModel::Model0, 11);
         let mut touched = Vec::new();
-        let report = inj.inject_uniform_tracked(&mut w, 1e-3, &mut touched);
+        let report = inj.inject_uniform_tracked(w.as_mut_slice(), 1e-3, &mut touched);
         assert!(report.flips > 0);
         assert_eq!(report.word_bits, 32);
         // Sorted, unique, and in range.
@@ -727,7 +655,7 @@ mod tests {
         // Identical seed/round via the untracked API corrupts identically.
         let mut w2 = vec![1.0f32; n];
         let mut inj2 = Injector::new(ErrorModel::Model0, 11);
-        let report2 = inj2.inject_uniform(&mut w2, 1e-3);
+        let report2 = inj2.inject_uniform(w2.as_mut_slice(), 1e-3);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&w), bits(&w2));
         assert_eq!(report.flips, report2.flips);
@@ -742,11 +670,16 @@ mod tests {
         let mut w_tracked = vec![0.5f32; n];
         let mut touched = Vec::new();
         Injector::new(model, 21)
-            .inject_with_placements_tracked(&mut w_tracked, &placements, &profile, &mut touched)
+            .inject_with_placements_tracked(
+                w_tracked.as_mut_slice(),
+                &placements,
+                &profile,
+                &mut touched,
+            )
             .unwrap();
         let mut w_plain = vec![0.5f32; n];
         Injector::new(model, 21)
-            .inject_with_placements(&mut w_plain, &placements, &profile)
+            .inject_with_placements(w_plain.as_mut_slice(), &placements, &profile)
             .unwrap();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&w_tracked), bits(&w_plain));
@@ -762,7 +695,7 @@ mod tests {
         let mut w = vec![1.0f32; 5_000];
         let mut inj = Injector::new(ErrorModel::Model0, 3);
         let mut touched = vec![999_999];
-        inj.inject_uniform_tracked(&mut w, 1e-2, &mut touched);
+        inj.inject_uniform_tracked(w.as_mut_slice(), 1e-2, &mut touched);
         assert_eq!(touched[0], 999_999, "existing entries untouched");
         assert!(touched.len() > 1);
         assert!(touched[1..].windows(2).all(|p| p[0] < p[1]));
@@ -773,7 +706,7 @@ mod tests {
         let mut w = vec![1.0f32; 1000];
         let before = w.clone();
         let mut inj = Injector::new(ErrorModel::Model0, 1);
-        let report = inj.inject_uniform(&mut w, 0.0);
+        let report = inj.inject_uniform(w.as_mut_slice(), 0.0);
         assert_eq!(report.flips, 0);
         assert_eq!(w, before);
     }
@@ -784,7 +717,7 @@ mod tests {
         let placements = flat_placements(5, 4);
         let profile = ErrorProfile::uniform(1e-3, 1);
         let mut inj = Injector::new(ErrorModel::Model0, 1);
-        let err = inj.inject_with_placements(&mut w, &placements, &profile);
+        let err = inj.inject_with_placements(w.as_mut_slice(), &placements, &profile);
         assert!(matches!(
             err,
             Err(InjectError::PlacementLengthMismatch { .. })
@@ -806,7 +739,7 @@ mod tests {
         let profile = ErrorProfile::from_rates(1e-2, vec![0.0, 1e-2]);
         let mut inj = Injector::new(ErrorModel::Model0, 3);
         let report = inj
-            .inject_with_placements(&mut w, &placements, &profile)
+            .inject_with_placements(w.as_mut_slice(), &placements, &profile)
             .unwrap();
         assert!(report.flips > 0);
         assert!(
@@ -826,7 +759,7 @@ mod tests {
         let model = ErrorModel::Model1 { weak_fraction: 0.1 };
         let mut inj = Injector::new(model, 77);
         let report = inj
-            .inject_with_placements(&mut w, &placements, &profile)
+            .inject_with_placements(w.as_mut_slice(), &placements, &profile)
             .unwrap();
         assert!(report.flips > 0);
         // Every flipped bit must sit on a weak bitline.
@@ -853,7 +786,7 @@ mod tests {
         let profile = ErrorProfile::uniform(1e-3, 1);
         let model = ErrorModel::Model2 { weak_fraction: 0.1 };
         let mut inj = Injector::new(model, 78);
-        inj.inject_with_placements(&mut w, &placements, &profile)
+        inj.inject_with_placements(w.as_mut_slice(), &placements, &profile)
             .unwrap();
         for (i, word) in w.iter().enumerate() {
             if word.to_bits() != 1.0f32.to_bits() {
@@ -875,10 +808,10 @@ mod tests {
         let profile = ErrorProfile::uniform(5e-3, 1);
         let model = ErrorModel::Model3 { one_bias: 0.9 };
         let r_ones = Injector::new(model, 9)
-            .inject_with_placements(&mut ones, &placements, &profile)
+            .inject_with_placements(ones.as_mut_slice(), &placements, &profile)
             .unwrap();
         let r_zeros = Injector::new(model, 9)
-            .inject_with_placements(&mut zeros, &placements, &profile)
+            .inject_with_placements(zeros.as_mut_slice(), &placements, &profile)
             .unwrap();
         assert!(
             r_ones.flips > 3 * r_zeros.flips,
@@ -897,10 +830,10 @@ mod tests {
         let profile = ErrorProfile::uniform(5e-3, 1);
         let model = ErrorModel::Model3 { one_bias: 0.9 };
         let r_ones = Injector::new(model, 9)
-            .inject_packed_with_placements(&mut ones, 8, &placements, &profile)
+            .inject_with_placements(&mut PackedImage::new(&mut ones, 8), &placements, &profile)
             .unwrap();
         let r_zeros = Injector::new(model, 9)
-            .inject_packed_with_placements(&mut zeros, 8, &placements, &profile)
+            .inject_with_placements(&mut PackedImage::new(&mut zeros, 8), &placements, &profile)
             .unwrap();
         assert!(
             r_ones.flips > 3 * r_zeros.flips,
@@ -923,7 +856,7 @@ mod tests {
             123,
         );
         let report = inj
-            .inject_with_placements(&mut w, &placements, &profile)
+            .inject_with_placements(w.as_mut_slice(), &placements, &profile)
             .unwrap();
         let ratio = report.empirical_ber() / 1e-3;
         // Weak-line selection is itself random; allow a generous band.
@@ -938,11 +871,11 @@ mod tests {
         let n = 10_000;
         let clean: Vec<f32> = (0..n).map(|i| (i as f32) * 0.001).collect();
         let mut as_f32 = clean.clone();
-        Injector::new(ErrorModel::Model0, 42).inject_uniform(&mut as_f32, 1e-3);
+        Injector::new(ErrorModel::Model0, 42).inject_uniform(as_f32.as_mut_slice(), 1e-3);
 
         let mut as_bytes: Vec<u8> = clean.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let report =
-            Injector::new(ErrorModel::Model0, 42).inject_uniform_packed(&mut as_bytes, 32, 1e-3);
+        let report = Injector::new(ErrorModel::Model0, 42)
+            .inject_uniform(&mut PackedImage::new(&mut as_bytes, 32), 1e-3);
         assert_eq!(report.word_bits, 32);
         let roundtrip: Vec<f32> = as_bytes
             .chunks_exact(4)
@@ -960,7 +893,7 @@ mod tests {
         ) {
             let mut w = vec![0.25f32; 512];
             let mut inj = Injector::new(ErrorModel::Model0, seed);
-            let report = inj.inject_uniform(&mut w, ber);
+            let report = inj.inject_uniform(w.as_mut_slice(), ber);
             prop_assert!(report.flips <= 512 * 32);
             prop_assert_eq!(report.words, 512);
         }

@@ -18,7 +18,8 @@
 //!   ([`WeakCellMap`], [`ErrorProfile`]) — the input to SparkXD's
 //!   safe-subarray mapping, and
 //! * fast, deterministic **bit-flip injection** into weight images
-//!   ([`Injector`]).
+//!   ([`Injector`]) of any word format ([`BitImage`]: an FP32 `[f32]`
+//!   image or a packed quantised [`PackedImage`]).
 //!
 //! ## Example
 //!
@@ -31,7 +32,8 @@
 //! assert!(ber > 1e-4 && ber < 1e-2);
 //!
 //! let mut weights = vec![0.5f32; 4096];
-//! let report = Injector::new(ErrorModel::Model0, 42).inject_uniform(&mut weights, 1e-3);
+//! let mut injector = Injector::new(ErrorModel::Model0, 42);
+//! let report = injector.inject_uniform(weights.as_mut_slice(), 1e-3);
 //! assert!(report.flips > 0);
 //! ```
 
@@ -43,7 +45,7 @@ pub mod voltage;
 pub mod weak_cells;
 
 pub use ecc::{DecodeOutcome, SecDed};
-pub use inject::{InjectionReport, Injector, WordPlacement};
+pub use inject::{BitImage, InjectionReport, Injector, PackedImage, WordPlacement};
 pub use models::ErrorModel;
 pub use voltage::BerCurve;
 pub use weak_cells::{ErrorProfile, WeakCellMap};

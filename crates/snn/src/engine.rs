@@ -11,11 +11,14 @@
 //! * within a worker, samples are presented in chunks of B through
 //!   [`NetworkParams::run_batch`], which streams each effective-weight row
 //!   once per chunk instead of once per sample, and
-//! * within a chunk, the per-timestep tile sweep can itself fan out
-//!   across the pool ([`ExecConfig::intra`] / [`BatchEvaluator::with_intra`]):
-//!   range-jobs own disjoint neuron-lane ranges of the `[B × n]` slabs,
-//!   with a barrier before the global-per-sample firing/inhibition pass —
-//!   bit-identical to the serial sweep by construction.
+//! * within a chunk, the per-timestep tile sweep is split into range-jobs
+//!   that can fan out across the pool ([`ExecConfig::intra`] /
+//!   [`BatchEvaluator::with_intra`]): each job owns a disjoint
+//!   neuron-lane range of the `[B × n]` membrane slabs and one contiguous
+//!   region of the tile-major drive scratch, with a barrier before the
+//!   global-per-sample firing/inhibition pass. The serial sweep is the
+//!   one-job case, run inline; every split is bit-identical to it by
+//!   construction.
 //!
 //! The spike-train RNG for sample `i` is derived from `(seed, i)`, so the
 //! result is bit-identical for **any** worker count *and any batch size*,
@@ -27,7 +30,7 @@
 //! `run_batch` call), the neuron-tile width of the batched drive matrix
 //! (default [`DEFAULT_TILE`]; any value ≥ `n_neurons` disables tiling),
 //! the kernel and the intra-chunk sweep mode (default
-//! [`IntraChoice::Auto`]; `Off` keeps the serial sweep, `Workers(k)` pins
+//! [`IntraChoice::Auto`]; `Off` runs one range-job, `Workers(k)` pins
 //! `k` sweep workers). Library code never reads the environment:
 //! binaries and examples resolve `SPARKXD_*` once through
 //! [`ExecConfig::from_env`] and pass the result down. Every level draws
@@ -348,7 +351,7 @@ impl std::fmt::Display for ExecConfig {
 /// never results: range-jobs write disjoint neuron lanes of the
 /// `[B × n]` slabs on identical tile boundaries and the per-sample
 /// firing/inhibition pass runs after a barrier, so any split is
-/// bit-identical to the serial sweep by construction (see
+/// bit-identical to the one-job sweep by construction (see
 /// `tests/intra_invariance.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntraChoice {
@@ -358,7 +361,8 @@ pub enum IntraChoice {
     /// busy. The default.
     #[default]
     Auto,
-    /// Always the serial sweep (the pre-PR-8 behaviour).
+    /// Always one range-job over every tile, run inline on the calling
+    /// thread: the serial sweep.
     Off,
     /// Pin exactly `k` sweep workers, ignoring the leftover budget (an
     /// explicit oversubscription request, like a `threads` budget above
@@ -889,7 +893,7 @@ impl BatchEvaluator {
     }
 
     /// Pins the intra-chunk tile-parallel mode of the drive sweep:
-    /// [`IntraChoice::Off`] is the serial sweep,
+    /// [`IntraChoice::Off`] runs one range-job over every tile,
     /// [`IntraChoice::Workers`]`(k)` pins `k` sweep workers,
     /// [`IntraChoice::Auto`] sizes to the leftover thread budget. Builder
     /// style; never changes results, only wall time.

@@ -289,8 +289,8 @@ pub struct LifLanes<'a> {
 /// one is being accumulated, and consecutive merged rows live at
 /// unrelated plane addresses the hardware stride prefetcher cannot
 /// predict — so the sweep issues this across the upcoming slice to hide
-/// the inter-row latency bubble. Under the intra-chunk parallel sweep
-/// (`ExecConfig::intra`) the hints are per-worker: each range-job prefetches
+/// the inter-row latency bubble. The sweep runs as range-jobs
+/// (`ExecConfig::intra`), so the hints are per-job: each job prefetches
 /// only its own tile slice of the next row, so a worker never pollutes a
 /// sibling core's L1 with lanes it will not stream. Purely a scheduling
 /// hint: results are unaffected on every target, and the function is a

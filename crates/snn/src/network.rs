@@ -26,16 +26,15 @@
 //! per-neuron scalar oracle (`sparkxd_bench::oracle`).
 //!
 //! The hot inner loops (drive accumulation, LIF lane integration, the
-//! inhibition sweep) run through the runtime-dispatched
-//! [`Kernel`](crate::kernels::Kernel) layer — portable scalar or x86_64
-//! AVX2, selected by [`ExecConfig::kernel`] / [`BatchState::with_kernel`] —
-//! whose lanes compute the exact scalar IEEE sequence, so the kernel
-//! choice never changes results either.
+//! inhibition sweep) run through the runtime-dispatched [`Kernel`] layer —
+//! portable scalar or x86_64 AVX2, selected by [`ExecConfig::kernel`] /
+//! [`BatchState::with_kernel`] — whose lanes compute the exact scalar IEEE
+//! sequence, so the kernel choice never changes results either.
 //!
 //! [`DiehlCookNetwork`] composes the parameters with the STDP learning
 //! state and keeps the training-facing API (`train_epoch`); its inference
 //! entry points (`evaluate`, `label_neurons`) delegate to the
-//! [`BatchEvaluator`](crate::engine::BatchEvaluator).
+//! [`BatchEvaluator`].
 
 use crate::coding::PoissonEncoder;
 use crate::engine::{BatchEvaluator, ExecConfig, IntraChoice};
@@ -49,6 +48,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparkxd_data::Dataset;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Complete configuration of a [`DiehlCookNetwork`].
 #[derive(Debug, Clone, PartialEq)]
@@ -238,27 +238,30 @@ impl NetworkParams {
     /// records a k-way merge of the samples' sorted active lists once
     /// (each distinct active row in ascending order, with the batch
     /// members that spiked on it; rows whose effective fan-out is all
-    /// zero are skipped), then sweeps the `[B × n_neurons]` drive matrix
-    /// in neuron tiles. Within a tile, every merged row's tile slice is
-    /// streamed into the `[B × tile]` drive tile and the tile's membrane
-    /// lanes are integrated immediately while the drive is hot — so the
-    /// resident working set is the tile, not the full slab, and N3600
-    /// runs as cache-friendly as N400. Firing resolution and lateral
-    /// inhibition then run per sample over the full population (hard WTA
-    /// and inhibition strength are global decisions).
+    /// zero are skipped), then sweeps the neurons in tiles. The drive
+    /// scratch is tile-major: tile `[t0, t1)` owns the contiguous
+    /// `[B × (t1 − t0)]` block at `t0·B`, member `b` at offset
+    /// `b·(t1 − t0)`. Within a tile, every merged row's tile slice is
+    /// streamed into the drive block in one fused pass over the members
+    /// that spiked on it, and the tile's membrane lanes are integrated
+    /// immediately while the drive is hot — so the resident working set
+    /// is the tile, not the full slab, and N3600 runs as cache-friendly
+    /// as N400. Firing resolution and lateral inhibition then run per
+    /// sample over the full population (hard WTA and inhibition strength
+    /// are global decisions).
     ///
     /// The tile width is the state's ([`ExecConfig::tile`] or
-    /// [`BatchState::with_tile`]), clamped into `[1, n_neurons]`; any width ≥ `n_neurons` is exactly the untiled
-    /// single-sweep path.
+    /// [`BatchState::with_tile`]), clamped into `[1, n_neurons]`; any
+    /// width ≥ `n_neurons` is exactly the untiled single-sweep path.
     ///
-    /// The per-timestep tile sweep can additionally fan out across the
-    /// persistent [`WorkerPool`](crate::engine::WorkerPool)
-    /// ([`ExecConfig::intra`] / [`BatchState::with_intra`]): contiguous tile
-    /// ranges are assigned to range-jobs that write disjoint neuron
-    /// lanes of every `[B × n]` slab, with a barrier before the
-    /// (unchanged, global-per-sample) firing-commit/inhibition pass.
-    /// The sweep stays serial when fewer than two tiles exist or the
-    /// state's thread budget is exhausted.
+    /// The tiles are split into contiguous range-jobs that write disjoint
+    /// neuron lanes of every slab (and a contiguous region of the drive),
+    /// run on the persistent [`WorkerPool`](crate::engine::WorkerPool)
+    /// ([`ExecConfig::intra`] / [`BatchState::with_intra`]) with a barrier
+    /// before the (global-per-sample) firing-commit/inhibition pass. The
+    /// serial sweep is the one-job case — fewer than two tiles,
+    /// [`IntraChoice::Off`] or an exhausted thread budget — and runs
+    /// inline on the calling thread.
     ///
     /// Because sample `b` only ever consumes `rngs[b]`, per-sample
     /// accumulation visits rows in ascending order within every tile, and
@@ -305,15 +308,12 @@ impl NetworkParams {
         // is pre-split into contiguous ranges — one deterministic
         // range-job per worker slot, no work stealing across the
         // reduction. Fewer than two tiles, `off`, or an exhausted budget
-        // all leave `tile_jobs` empty and the sweep serial.
+        // all leave one job over every tile, which the pool runs inline.
         let n_tiles = n.div_ceil(tile);
         let (intra_workers, _intra_budget) =
             crate::engine::intra_workers_for(state.exec.intra, state.exec.threads, n_tiles);
-        let tile_jobs: Vec<Range<usize>> = if intra_workers > 1 {
-            crate::engine::chunk_ranges(n_tiles, intra_workers)
-        } else {
-            Vec::new()
-        };
+        let tile_jobs = crate::engine::chunk_ranges(n_tiles, intra_workers);
+        let job_lanes = |tiles: &Range<usize>| tiles.start * tile..(tiles.end * tile).min(n);
         // Observation only, and counter-cheap on purpose: one span and
         // a handful of adds per presented chunk (never per timestep —
         // the tile total is `timesteps × n_tiles` computed up front).
@@ -322,7 +322,7 @@ impl NetworkParams {
         sparkxd_telemetry::counter_add!("engine.samples", b_count);
         sparkxd_telemetry::counter_add!("engine.timesteps", self.config.timesteps);
         sparkxd_telemetry::counter_add!("engine.tiles_swept", self.config.timesteps * n_tiles);
-        if !tile_jobs.is_empty() {
+        if tile_jobs.len() > 1 {
             sparkxd_telemetry::counter_add!("engine.intra_fanouts", 1);
             sparkxd_telemetry::gauge_max!("engine.intra_workers", tile_jobs.len());
         }
@@ -351,6 +351,21 @@ impl NetworkParams {
             intra_any,
             ..
         } = state;
+        // The drive scratch is tile-major: tile `[t0, t1)` owns
+        // `drive[t0·B .. t1·B)`, with member `b` at offset `b·(t1 − t0)`.
+        // Every range-job's drive is therefore one contiguous region,
+        // split off once per call; a job only ever locks its own region,
+        // so the locks are never contended.
+        let mut rest = &mut drive[..b_count * n];
+        let drive_regions: Vec<Mutex<&mut [f32]>> = tile_jobs
+            .iter()
+            .map(|tiles| {
+                let (region, tail) =
+                    std::mem::take(&mut rest).split_at_mut(job_lanes(tiles).len() * b_count);
+                rest = tail;
+                Mutex::new(region)
+            })
+            .collect();
         for _ in 0..self.config.timesteps {
             for (b, rng) in rngs.iter_mut().enumerate() {
                 self.config
@@ -393,89 +408,62 @@ impl NetworkParams {
             }
             member_starts.push(members_flat.len());
             // Neuron-tile sweep: zero, accumulate and integrate one
-            // `[B × tile]` drive tile at a time. Each merged row's tile
-            // slice is loaded once — the fused multi-member kernel pass
-            // keeps it in registers across every member of the batch that
-            // spiked on it (the multi-bank burst analogue) — and the
-            // tile's lanes are integrated before the sweep moves on.
-            any_crossed[..b_count].fill(false);
-            if tile_jobs.len() > 1 {
-                // Intra-chunk parallel sweep: each range-job owns a
-                // contiguous, tile-aligned neuron-lane range of every
-                // slab — disjoint writes by construction — and records
-                // its crossing flags in its own `intra_any` slot (per
-                // *job*, not per thread, so the OR-reduction below is
-                // deterministic). The pool call is the barrier: firing
-                // commit / inhibition below never observes a partial
-                // sweep, so results are bit-identical to the serial
-                // sweep for any split (see tests/intra_invariance.rs).
-                intra_any.clear();
-                intra_any.resize(tile_jobs.len() * b_count, false);
-                let slabs = IntraSlabs {
-                    v: v.as_mut_ptr(),
-                    theta: theta.as_mut_ptr(),
-                    refractory: refractory.as_mut_ptr(),
-                    drive: drive.as_mut_ptr(),
-                    crossed: crossed.as_mut_ptr(),
-                    any: intra_any.as_mut_ptr(),
-                };
-                let merged: &[usize] = merged_rows;
-                let starts: &[usize] = member_starts;
-                let flat: &[usize] = members_flat;
-                let sweep = |part: usize| {
-                    let tiles = &tile_jobs[part];
-                    let lanes = tiles.start * tile..(tiles.end * tile).min(n);
-                    // SAFETY: `tile_jobs` ranges are disjoint and
-                    // tile-aligned, so concurrent jobs touch disjoint
-                    // `[b*n + lane]` elements; the slab pointers cover
-                    // `b_count * n` lanes (`any`: jobs × b_count) and
-                    // outlive the pool barrier below.
-                    unsafe {
-                        sweep_lane_range(
-                            self, kernel, slabs, n, b_count, tile, lanes, part, merged, starts,
-                            flat,
-                        );
-                    }
-                };
-                crate::engine::WorkerPool::global().run(
-                    tile_jobs.len(),
-                    tile_jobs.len() - 1,
-                    &sweep,
-                );
-                for (b, any) in any_crossed.iter_mut().enumerate().take(b_count) {
-                    *any = (0..tile_jobs.len()).any(|p| intra_any[p * b_count + b]);
+            // `[B × tile]` drive tile at a time, split into range-jobs that
+            // each own a contiguous, tile-aligned neuron-lane range of
+            // every slab — disjoint writes by construction. Each job
+            // records its crossing flags in its own `intra_any` slot (per
+            // *job*, not per thread, so the OR-reduction below is
+            // deterministic). The pool call is the barrier: firing commit
+            // / inhibition below never observes a partial sweep, so
+            // results are bit-identical for any split (see
+            // tests/intra_invariance.rs). A single job runs inline.
+            intra_any.clear();
+            intra_any.resize(tile_jobs.len() * b_count, false);
+            let slabs = IntraSlabs {
+                v: v.as_mut_ptr(),
+                theta: theta.as_mut_ptr(),
+                refractory: refractory.as_mut_ptr(),
+                crossed: crossed.as_mut_ptr(),
+                any: intra_any.as_mut_ptr(),
+            };
+            let merged: &[usize] = merged_rows;
+            let starts: &[usize] = member_starts;
+            let flat: &[usize] = members_flat;
+            let sweep = |part: usize| {
+                // A job that panics poisons only its own region, and the
+                // pool re-raises that panic before any later timestep.
+                let mut drive = drive_regions[part]
+                    .lock()
+                    .expect("drive region poisoned by a panicked sweep job");
+                // SAFETY: `tile_jobs` ranges are disjoint and tile-aligned,
+                // so concurrent jobs touch disjoint `[b*n + lane]`
+                // elements; the slab pointers cover `b_count * n` lanes
+                // (`any`: jobs × b_count) and outlive the pool barrier
+                // below.
+                unsafe {
+                    sweep_lane_range(
+                        self,
+                        kernel,
+                        slabs,
+                        &mut drive,
+                        n,
+                        b_count,
+                        tile,
+                        job_lanes(&tile_jobs[part]),
+                        part,
+                        merged,
+                        starts,
+                        flat,
+                    );
                 }
-            } else {
-                let mut t0 = 0;
-                while t0 < n {
-                    let t1 = (t0 + tile).min(n);
-                    for b in 0..b_count {
-                        drive[b * n + t0..b * n + t1].fill(0.0);
-                    }
-                    for (ri, &row) in merged_rows.iter().enumerate() {
-                        if let Some(&next) = merged_rows.get(ri + 1) {
-                            crate::kernels::prefetch_lanes(&self.plane.row(next)[t0..t1]);
-                        }
-                        let row_tile = &self.plane.row(row)[t0..t1];
-                        let members = &members_flat[member_starts[ri]..member_starts[ri + 1]];
-                        kernel.accumulate_members(drive, n, t0, members, row_tile);
-                    }
-                    for (b, any) in any_crossed.iter_mut().enumerate().take(b_count) {
-                        let lanes = b * n + t0..b * n + t1;
-                        *any |= kernel.integrate_lanes(
-                            &self.config.lif,
-                            self.config.dt_ms,
-                            LifLanes {
-                                v: &mut v[lanes.clone()],
-                                theta: &mut theta[lanes.clone()],
-                                refractory: &mut refractory[lanes.clone()],
-                                drive: &drive[lanes.clone()],
-                                crossed: &mut crossed[lanes],
-                            },
-                        );
-                    }
-                    t0 = t1;
-                }
+            };
+            crate::engine::WorkerPool::global().run(
+                tile_jobs.len(),
+                tile_jobs.len().saturating_sub(1),
+                &sweep,
+            );
+            for (b, any) in any_crossed.iter_mut().enumerate().take(b_count) {
+                *any = (0..tile_jobs.len()).any(|p| intra_any[p * b_count + b]);
             }
             for (b, sample_counts) in counts.iter_mut().enumerate() {
                 if !any_crossed[b] {
@@ -500,8 +488,8 @@ impl NetworkParams {
     }
 }
 
-/// Raw slab pointers of the intra-parallel sweep, `Copy` so every
-/// range-job captures the same view without borrowing the scratch.
+/// Raw pointers to the sample-major slabs of the tile sweep, `Copy` so
+/// every range-job captures the same view without borrowing the scratch.
 ///
 /// Safety rests on the partition: jobs write only their own disjoint,
 /// tile-aligned lane ranges (and their own `any` slot), enforced by
@@ -511,7 +499,6 @@ struct IntraSlabs {
     v: *mut f32,
     theta: *mut f32,
     refractory: *mut f32,
-    drive: *mut f32,
     crossed: *mut bool,
     any: *mut bool,
 }
@@ -522,14 +509,17 @@ struct IntraSlabs {
 unsafe impl Send for IntraSlabs {}
 unsafe impl Sync for IntraSlabs {}
 
-/// One range-job of the intra-parallel tile sweep: zero → accumulate →
-/// integrate over `lanes` (a tile-aligned neuron-lane range), recording
-/// this job's per-sample crossing flags in `any[part * b_count + b]`.
+/// One range-job of the tile sweep: zero → accumulate → integrate over
+/// `lanes` (a tile-aligned neuron-lane range), recording this job's
+/// per-sample crossing flags in `any[part * b_count + b]`.
 ///
-/// The job replays the exact serial sweep over its tiles — identical tile
-/// boundaries (`lanes` starts and ends on global tile multiples), the
-/// same ascending merged-row order per lane, the same kernel ops — so the
-/// result is bit-identical to the serial path for any range split.
+/// `drive` is the job's region of the tile-major drive scratch
+/// (`lanes.len() * b_count` lanes), so each tile's `[B × len]` drive is
+/// one contiguous chunk and every merged row makes one fused
+/// multi-member accumulate per tile. Tile boundaries are global multiples
+/// of `tile`, and each lane sees the merged rows in ascending order with
+/// the same kernel ops, so the result is bit-identical for any range
+/// split.
 ///
 /// # Safety
 ///
@@ -542,6 +532,7 @@ unsafe fn sweep_lane_range(
     params: &NetworkParams,
     kernel: Kernel,
     slabs: IntraSlabs,
+    drive: &mut [f32],
     n: usize,
     b_count: usize,
     tile: usize,
@@ -557,37 +548,25 @@ unsafe fn sweep_lane_range(
     let lane_mut = |ptr: *mut f32, base: usize, len: usize| unsafe {
         std::slice::from_raw_parts_mut(ptr.add(base), len)
     };
-    let mut t0 = lanes.start;
-    while t0 < lanes.end {
-        let t1 = (t0 + tile).min(lanes.end);
-        let len = t1 - t0;
-        for b in 0..b_count {
-            lane_mut(slabs.drive, b * n + t0, len).fill(0.0);
-        }
+    debug_assert_eq!(drive.len(), lanes.len() * b_count, "job drive region");
+    let tiles = lanes.step_by(tile).zip(drive.chunks_mut(tile * b_count));
+    for (t0, tile_drive) in tiles {
+        let len = tile_drive.len() / b_count;
+        let t1 = t0 + len;
+        tile_drive.fill(0.0);
         for (ri, &row) in merged_rows.iter().enumerate() {
             if let Some(&next) = merged_rows.get(ri + 1) {
-                // Prefetch is per-worker now: each job hints only its own
-                // tile slice of the next row, keeping the hints inside
-                // the lanes this thread will actually stream.
+                // Each job hints only its own tile slice of the next row,
+                // keeping the hints inside the lanes this thread streams.
                 crate::kernels::prefetch_lanes(&params.plane.row(next)[t0..t1]);
             }
+            // One fused pass per row: the row's tile slice stays in
+            // registers across every member that spiked on it.
             let row_tile = &params.plane.row(row)[t0..t1];
             let members = &members_flat[member_starts[ri]..member_starts[ri + 1]];
-            for &b in members {
-                // Single-destination accumulate: stride 0 with the one
-                // member at offset 0 is exactly `dst += row_tile` — the
-                // same per-lane adds, in the same ascending-row order,
-                // that the fused serial call makes for this member.
-                kernel.accumulate_members(
-                    lane_mut(slabs.drive, b * n + t0, len),
-                    0,
-                    0,
-                    &[0],
-                    row_tile,
-                );
-            }
+            kernel.accumulate_members(tile_drive, len, 0, members, row_tile);
         }
-        for b in 0..b_count {
+        for (b, drive) in tile_drive.chunks_exact(len).enumerate() {
             let base = b * n + t0;
             let any = kernel.integrate_lanes(
                 &params.config.lif,
@@ -596,7 +575,7 @@ unsafe fn sweep_lane_range(
                     v: lane_mut(slabs.v, base, len),
                     theta: lane_mut(slabs.theta, base, len),
                     refractory: lane_mut(slabs.refractory, base, len),
-                    drive: lane_mut(slabs.drive, base, len),
+                    drive,
                     crossed: unsafe {
                         std::slice::from_raw_parts_mut(slabs.crossed.add(base), len)
                     },
@@ -607,7 +586,6 @@ unsafe fn sweep_lane_range(
                 unsafe { *slabs.any.add(part * b_count + b) = true };
             }
         }
-        t0 = t1;
     }
 }
 
@@ -698,7 +676,9 @@ pub struct BatchState {
     theta: Vec<f32>,
     /// Remaining refractory times, sample-major.
     refractory: Vec<f32>,
-    /// Synaptic drive matrix, sample-major.
+    /// Synaptic drive scratch, tile-major: tile `[t0, t1)` owns
+    /// `[t0 * B, t1 * B)`, member `b` at offset `b * (t1 - t0)` (at B = 1,
+    /// or with one tile, this is `[b * n_neurons + j]`).
     drive: Vec<f32>,
     /// Per-sample active input lines this timestep (sorted ascending).
     active: Vec<Vec<usize>>,
@@ -727,8 +707,7 @@ pub struct BatchState {
     /// ascending, so inhibition sweeps the gaps between winners without a
     /// dense mask).
     fired: Vec<usize>,
-    /// Per-(range-job × sample) crossing flags of the intra-parallel
-    /// sweep, OR-reduced into `any_crossed` after the pool barrier. One
+    /// Per-(range-job × sample) crossing flags of the tile sweep, OR-reduced into `any_crossed` after the pool barrier. One
     /// slot per *job* (not per thread), so the reduction is deterministic
     /// however the pool schedules the jobs.
     intra_any: Vec<bool>,
@@ -781,7 +760,8 @@ impl BatchState {
     }
 
     /// Pins the intra-chunk parallel mode of the drive tile sweep:
-    /// [`IntraChoice::Off`] keeps the serial sweep, [`IntraChoice::Workers`]`(k)` pins `k` sweep workers,
+    /// [`IntraChoice::Off`] runs one range-job over every tile,
+    /// [`IntraChoice::Workers`]`(k)` pins `k` sweep workers,
     /// [`IntraChoice::Auto`] sizes to the leftover thread budget. Builder
     /// style; never changes results, only wall time.
     pub fn with_intra(mut self, intra: IntraChoice) -> Self {
@@ -867,7 +847,7 @@ impl DiehlCookNetwork {
     }
 
     /// The frozen half of the network — hand `&net.params()` to the
-    /// [`BatchEvaluator`](crate::engine::BatchEvaluator) for parallel
+    /// [`BatchEvaluator`] for parallel
     /// inference.
     pub fn params(&self) -> &NetworkParams {
         &self.params
@@ -1033,7 +1013,7 @@ impl DiehlCookNetwork {
 
     /// Assigns a class to each neuron from its responses on `dataset`
     /// (inference only, no learning). Samples are evaluated concurrently by
-    /// the [`BatchEvaluator`](crate::engine::BatchEvaluator); the result is
+    /// the [`BatchEvaluator`]; the result is
     /// independent of the worker count and batch size.
     pub fn label_neurons(&self, dataset: &Dataset, seed: u64) -> NeuronLabeler {
         BatchEvaluator::default().label_neurons(&self.params, dataset, seed)
@@ -1194,6 +1174,46 @@ mod tests {
             .map(|i| run_one(params, data.get(i).0.pixels(), sample_rng(3, i as u64)).unwrap())
             .collect();
         assert_eq!(got, fresh);
+    }
+
+    #[test]
+    fn membrane_slabs_are_bit_identical_across_intra() {
+        // Spike counts quantise, so they could agree while membrane
+        // trajectories drift. Compare every lane word the sweep writes.
+        let mut net = small_net();
+        let data = SynthDigits.generate(5, 3);
+        net.train_epoch(&data, 4);
+        let params = net.params();
+        let pixels: Vec<&[f32]> = (0..5).map(|i| data.get(i).0.pixels()).collect();
+        let run = |b_count: usize, tile: usize, intra: IntraChoice| {
+            let mut state = BatchState::for_params(params, b_count)
+                .with_tile(tile)
+                .with_intra(intra);
+            let mut rngs: Vec<StdRng> = (0..b_count).map(|i| sample_rng(7, i as u64)).collect();
+            let counts = params
+                .run_batch(&mut state, &pixels[..b_count], &mut rngs)
+                .unwrap();
+            let bits = |slab: &[f32]| slab.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let slabs = (
+                bits(&state.v),
+                bits(&state.theta),
+                bits(&state.refractory),
+                state.crossed.clone(),
+            );
+            (counts, slabs)
+        };
+        for b_count in [1, 3, 5] {
+            for tile in [1, 3, 7, usize::MAX] {
+                let reference = run(b_count, tile, IntraChoice::Off);
+                assert!(reference.0.iter().flatten().sum::<u32>() > 0, "no spikes");
+                for k in [2, 3, 7] {
+                    assert!(
+                        run(b_count, tile, IntraChoice::Workers(k)) == reference,
+                        "B={b_count} tile={tile} workers={k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -76,18 +76,6 @@ impl WeightPrecision {
             Self::Int16 => "int16",
         }
     }
-
-    /// Parses a precision label (case-insensitive, surrounding
-    /// whitespace ignored). Returns `None` for anything that is not
-    /// `fp32`, `int8` or `int16`.
-    pub fn parse(raw: &str) -> Option<Self> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "fp32" | "f32" => Some(Self::Fp32),
-            "int8" | "i8" => Some(Self::Int8),
-            "int16" | "i16" => Some(Self::Int16),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for WeightPrecision {
@@ -298,25 +286,6 @@ mod tests {
         assert_eq!(WeightPrecision::Int16.bytes_per_word(), 2);
         assert!(!WeightPrecision::Fp32.is_quantized());
         assert!(WeightPrecision::Int8.is_quantized());
-    }
-
-    #[test]
-    fn precision_parses_labels_and_rejects_noise() {
-        for p in [
-            WeightPrecision::Fp32,
-            WeightPrecision::Int8,
-            WeightPrecision::Int16,
-        ] {
-            assert_eq!(WeightPrecision::parse(p.label()), Some(p));
-            assert_eq!(WeightPrecision::parse(&p.label().to_uppercase()), Some(p));
-        }
-        assert_eq!(
-            WeightPrecision::parse(" int8 "),
-            Some(WeightPrecision::Int8)
-        );
-        assert_eq!(WeightPrecision::parse("f32"), Some(WeightPrecision::Fp32));
-        assert_eq!(WeightPrecision::parse("int4"), None);
-        assert_eq!(WeightPrecision::parse(""), None);
     }
 
     #[test]

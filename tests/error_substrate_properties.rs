@@ -75,7 +75,7 @@ fn injected_flip_count_consistent_with_ber() {
         for seed in 0..trials {
             let mut weights = vec![0.37f32; words];
             let mut injector = Injector::new(ErrorModel::Model0, 1000 + seed);
-            let report = injector.inject_uniform(&mut weights, ber);
+            let report = injector.inject_uniform(weights.as_mut_slice(), ber);
             assert_eq!(report.words as usize, words);
 
             let expected = n_bits * ber;
@@ -105,13 +105,13 @@ fn injected_flip_count_consistent_with_ber() {
 fn injection_extremes() {
     let mut weights = vec![0.5f32; 256];
     let mut injector = Injector::new(ErrorModel::Model0, 3);
-    let report = injector.inject_uniform(&mut weights, 0.0);
+    let report = injector.inject_uniform(weights.as_mut_slice(), 0.0);
     assert_eq!(report.flips, 0);
     assert!(weights.iter().all(|w| *w == 0.5));
 
     let n_bits = (256 * 32) as f64;
     let mut injector = Injector::new(ErrorModel::Model0, 3);
-    let report = injector.inject_uniform(&mut weights, 0.5);
+    let report = injector.inject_uniform(weights.as_mut_slice(), 0.5);
     let expected = n_bits * 0.5;
     let sigma = (n_bits * 0.25).sqrt();
     assert!(
@@ -128,8 +128,8 @@ fn injection_extremes() {
 fn successive_rounds_draw_fresh_errors() {
     let mut injector = Injector::new(ErrorModel::Model0, 11);
     let mut first = vec![0.25f32; 4096];
-    injector.inject_uniform(&mut first, 1e-3);
+    injector.inject_uniform(first.as_mut_slice(), 1e-3);
     let mut second = vec![0.25f32; 4096];
-    injector.inject_uniform(&mut second, 1e-3);
+    injector.inject_uniform(second.as_mut_slice(), 1e-3);
     assert_ne!(first, second, "two rounds produced identical corruption");
 }

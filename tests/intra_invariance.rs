@@ -1,15 +1,18 @@
 //! Property tests for the intra-chunk parallel tile sweep: `run_batch`
-//! may fan the zero → accumulate → integrate phase of each timestep out
-//! across pool workers (`ExecConfig::intra` / `BatchState::with_intra`), with
-//! every worker owning a contiguous range of tiles — disjoint neuron
-//! lanes of the `[B × n]` drive slab — and a barrier before the global
-//! firing-commit/inhibition pass. The split must never change a result:
-//! spike counts, labels, accuracy and per-lane membrane words stay
-//! bit-identical to the serial sweep for **any** worker count.
+//! splits the zero → accumulate → integrate phase of each timestep into
+//! range-jobs that may fan out across pool workers (`ExecConfig::intra` /
+//! `BatchState::with_intra`), every job owning a contiguous range of
+//! tiles — disjoint neuron lanes of the `[B × n]` membrane slabs and one
+//! contiguous region of the tile-major drive scratch — with a barrier
+//! before the global firing-commit/inhibition pass. The split must never
+//! change a result: spike counts, labels and accuracy stay bit-identical
+//! to the one-job (serial) sweep for **any** worker count. (The membrane
+//! words themselves are compared slab by slab in `network.rs`'s unit
+//! tests, where the scratch is visible.)
 //!
 //! Why bit-identity holds by construction: range jobs split on *tile*
 //! boundaries, so each lane sees the same merged rows added in the same
-//! ascending order as the serial sweep, and per-job `any_crossed` slots
+//! ascending order as the one-job sweep, and per-job `any_crossed` slots
 //! are OR-reduced in job order after the barrier. These tests exist to
 //! catch regressions of exactly that construction — a split mid-tile, a
 //! racy reduction, a lane range off by one at a worker boundary.
@@ -133,7 +136,7 @@ fn hard_wta_winner_is_resolved_across_worker_boundaries() {
 }
 
 #[test]
-fn membrane_words_are_bit_identical_lane_by_lane() {
+fn accuracy_and_labels_are_bit_identical_across_intra() {
     // Spike counts could in principle agree while membrane trajectories
     // drift (counts quantise). Compare the evaluate() accuracy — an f64
     // computed from every per-sample outcome — at full bit precision,

@@ -5,7 +5,7 @@
 //! path is an encoding, never a semantic fork.
 
 use proptest::prelude::*;
-use sparkxd::error::{ErrorModel, Injector};
+use sparkxd::error::{ErrorModel, Injector, PackedImage};
 use sparkxd::snn::{EffectivePlane, QuantizedImage, StoredWeights, WeightPrecision};
 
 /// Weight words a trained store can plausibly hold, plus the corrupt
@@ -87,7 +87,7 @@ proptest! {
         let mut image = QuantizedImage::quantize(&weights, precision);
         let word_bits = image.word_bits();
         let mut injector = Injector::new(model, seed);
-        injector.inject_uniform_packed(image.payload_mut(), word_bits, ber);
+        injector.inject_uniform(&mut PackedImage::new(image.payload_mut(), word_bits), ber);
 
         let direct = image.build_plane(clamp);
         let oracle = EffectivePlane::build(&image.dequantize(), clamp);
@@ -129,7 +129,7 @@ proptest! {
         prop_assert_eq!(image.payload().len(), expected_bytes);
         let word_bits = image.word_bits();
         let mut injector = Injector::new(ErrorModel::Model0, seed);
-        injector.inject_uniform_packed(image.payload_mut(), word_bits, ber);
+        injector.inject_uniform(&mut PackedImage::new(image.payload_mut(), word_bits), ber);
         prop_assert_eq!(image.dram_bytes(), expected_bytes);
         prop_assert_eq!(image.words(), inputs * neurons);
     }
@@ -143,11 +143,8 @@ fn zero_ber_image_is_the_clean_roundtrip() {
         let weights = store(7, 5, 1.0, 3);
         let mut image = QuantizedImage::quantize(&weights, precision);
         let word_bits = image.word_bits();
-        Injector::new(ErrorModel::Model0, 9).inject_uniform_packed(
-            image.payload_mut(),
-            word_bits,
-            0.0,
-        );
+        Injector::new(ErrorModel::Model0, 9)
+            .inject_uniform(&mut PackedImage::new(image.payload_mut(), word_bits), 0.0);
         assert_eq!(
             image.dequantize().as_slice(),
             QuantizedImage::roundtrip(&weights, precision).as_slice()
