@@ -5,7 +5,7 @@ use sparkxd_core::mapping::{
     BaselineMapping, MappingPolicy, SafeSequentialMapping, SparkXdMapping,
 };
 use sparkxd_data::{SynthDigits, SyntheticSource};
-use sparkxd_dram::{AccessTrace, CompressedTrace, DramConfig, DramModel};
+use sparkxd_dram::{CompressedTrace, DramConfig, DramModel};
 use sparkxd_error::{ErrorModel, ErrorProfile, Injector};
 use sparkxd_snn::{BatchEvaluator, NetworkParams, SnnConfig};
 use std::time::Duration;
@@ -15,15 +15,15 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10).measurement_time(Duration::from_secs(4));
 
     let config = DramConfig::lpddr3_1600_4gb();
-    let trace = AccessTrace::sequential_reads(&config.geometry, 16_384);
+    let trace = CompressedTrace::sequential_reads(&config.geometry, 16_384).expand();
     g.bench_function("dram_replay_16k", |b| {
         b.iter(|| DramModel::new(config.clone()).replay(&trace).stats.total())
     });
 
-    // Per-access vs batch replay on the 64k sequential trace (the ISSUE 4
-    // acceptance pair: compressed must be ≥ 5x the per-access line).
-    let trace64 = AccessTrace::sequential_reads(&config.geometry, 65_536);
-    let compressed64 = CompressedTrace::compress(&trace64);
+    // Per-access (expanded) vs run replay on the 64k sequential trace:
+    // the run replay must be ≥ 5x the per-access line.
+    let compressed64 = CompressedTrace::sequential_reads(&config.geometry, 65_536);
+    let trace64 = compressed64.expand();
     g.bench_function("dram_replay_64k", |b| {
         b.iter(|| {
             DramModel::new(config.clone())
@@ -35,7 +35,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("dram_replay_compressed_64k", |b| {
         b.iter(|| {
             DramModel::new(config.clone())
-                .replay_compressed(&compressed64)
+                .replay(&compressed64)
                 .stats
                 .total()
         })

@@ -1,8 +1,8 @@
 //! Criterion bench for Fig. 12(b): trace replay latency, sequential vs
-//! bank-interleaved layouts (the multi-bank burst effect). Runs through
-//! the batch replay path — identical latency numbers to per-access replay
-//! (see `crates/dram/tests/replay_oracle.rs`), at a fraction of the
-//! simulation cost.
+//! bank-interleaved layouts (the multi-bank burst effect). Same-row runs
+//! replay in closed form — identical latency numbers to stepping every
+//! access (see `crates/dram/tests/replay_oracle.rs`), at a fraction of
+//! the simulation cost.
 use criterion::{criterion_group, criterion_main, Criterion};
 use sparkxd_dram::{CompressedTrace, DramConfig, DramModel};
 use std::time::Duration;
@@ -14,17 +14,12 @@ fn bench(c: &mut Criterion) {
     let seq = CompressedTrace::sequential_reads(&config.geometry, 65_536);
     let inter = CompressedTrace::interleaved_reads(&config.geometry, 65_536);
     g.bench_function("replay_sequential_64k", |b| {
-        b.iter(|| {
-            DramModel::new(config.clone())
-                .replay_compressed(&seq)
-                .latency
-                .total_ns
-        })
+        b.iter(|| DramModel::new(config.clone()).replay(&seq).latency.total_ns)
     });
     g.bench_function("replay_interleaved_64k", |b| {
         b.iter(|| {
             DramModel::new(config.clone())
-                .replay_compressed(&inter)
+                .replay(&inter)
                 .latency
                 .total_ns
         })

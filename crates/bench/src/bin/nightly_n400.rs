@@ -22,8 +22,8 @@
 //! (`SPARKXD_NIGHTLY_SEED` overrides the default device seed of 42).
 
 use sparkxd_bench::{
-    append_job_summary, bench_json, exec_from_env, oracle, precision_json, telemetry_overhead_json,
-    telemetry_summary, write_bench_json, BenchRow, PrecisionRow,
+    append_job_summary, bench_json, env_number, exec_from_env, oracle, precision_json,
+    telemetry_overhead_json, telemetry_summary, write_bench_json, BenchRow, PrecisionRow,
 };
 use sparkxd_core::energy_eval::EnergyEvaluation;
 use sparkxd_core::mapping::{BaselineMapping, MappingPolicy};
@@ -146,8 +146,9 @@ fn measure_kernels(n_neurons: usize, samples: usize, intra_workers: usize) -> Be
 }
 
 /// Measures DRAM trace replay throughput (accesses/sec, best of `reps`)
-/// on the N400 weight-image trace: per-access reference path vs the
-/// compressed batch path. Returns `(per_access, compressed)`.
+/// on the N400 weight-image trace: the expanded trace stepped access by
+/// access vs the compressed trace with closed-form runs. Returns
+/// `(per_access, compressed)`.
 fn measure_replay_throughput(reps: usize) -> (f64, f64) {
     let config = DramConfig::lpddr3_1600_4gb();
     let flat = ErrorProfile::uniform(0.0, config.geometry.total_subarrays());
@@ -166,11 +167,7 @@ fn measure_replay_throughput(reps: usize) -> (f64, f64) {
         std::hint::black_box(DramModel::new(config.clone()).replay(&expanded).stats);
         best_per_access = best_per_access.min(t.elapsed().as_secs_f64());
         let t = std::time::Instant::now();
-        std::hint::black_box(
-            DramModel::new(config.clone())
-                .replay_compressed(&compressed)
-                .stats,
-        );
+        std::hint::black_box(DramModel::new(config.clone()).replay(&compressed).stats);
         best_compressed = best_compressed.min(t.elapsed().as_secs_f64());
     }
     (accesses / best_per_access, accesses / best_compressed)
@@ -245,10 +242,7 @@ fn measure_telemetry_overhead(samples: usize, reps: usize) -> (f64, f64) {
 
 fn main() {
     let exec = exec_from_env();
-    let seed = std::env::var("SPARKXD_NIGHTLY_SEED")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(42);
+    let seed = env_number("SPARKXD_NIGHTLY_SEED", 42u64);
     let config = PipelineConfig {
         exec,
         ..PipelineConfig::paper_network(400, DatasetKind::Digits, seed)
@@ -415,8 +409,8 @@ fn main() {
         eprintln!("warning: could not write BENCH_8.json");
     }
 
-    // DRAM replay throughput: per-access reference vs compressed batch
-    // path on the 78,400-column N400 weight-image trace.
+    // DRAM replay throughput: expanded (per-access) vs compressed trace
+    // on the 78,400-column N400 weight-image trace.
     let (replay_per_access, replay_compressed) = measure_replay_throughput(3);
     let replay_ratio = replay_compressed / replay_per_access.max(f64::MIN_POSITIVE);
     println!("DRAM replay throughput (N400 trace, accesses/sec):");

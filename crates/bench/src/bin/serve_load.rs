@@ -27,7 +27,7 @@
 //! `SPARKXD_TILE`, `SPARKXD_KERNEL`, `SPARKXD_INTRA`, `SPARKXD_TELEMETRY`)
 //! resolve once into the `ExecConfig` the header prints.
 
-use sparkxd_bench::{append_job_summary, exec_from_env, telemetry_summary, TextTable};
+use sparkxd_bench::{append_job_summary, env_number, exec_from_env, telemetry_summary, TextTable};
 use sparkxd_core::pipeline::{DatasetKind, PipelineConfig};
 use sparkxd_core::{TierBuilder, TierSet};
 use sparkxd_data::{Dataset, SynthDigits, SyntheticSource};
@@ -194,19 +194,6 @@ fn dispatch_first_kernel_ns(use_pool: bool, reps: usize) -> u64 {
     }
     samples.sort_unstable();
     samples.get(samples.len() / 2).copied().unwrap_or(0)
-}
-
-/// `var` parsed as a number, or `default` when unset. Same policy as
-/// `Scale::from_env`: an unparsable value is a hard error, never a silent
-/// fallback to a correct-looking default.
-fn env_number<T: std::str::FromStr>(var: &str, default: T) -> T {
-    match std::env::var(var) {
-        Err(_) => default,
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|_| {
-            eprintln!("serve_load: unparsable {var}={raw:?} (expected a number)");
-            std::process::exit(2);
-        }),
-    }
 }
 
 fn main() {

@@ -50,6 +50,20 @@ pub fn exec_from_env() -> sparkxd_snn::ExecConfig {
     }
 }
 
+/// `var` parsed as a number, or `default` when unset. Same policy as
+/// [`exec_from_env`] and [`Scale::from_env`]: an unparsable value prints
+/// the variable and exits with status 2, never a silent fallback to a
+/// correct-looking default.
+pub fn env_number<T: std::str::FromStr>(var: &str, default: T) -> T {
+    match std::env::var(var) {
+        Err(_) => default,
+        Ok(raw) => raw.trim().parse().unwrap_or_else(|_| {
+            eprintln!("sparkxd: unparsable {var}={raw:?} (expected a number)");
+            std::process::exit(2);
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,11 +55,29 @@ impl Scale {
         }
     }
 
-    /// Reads `SPARKXD_SCALE` (`demo` default, `paper` for full size).
+    /// Reads `SPARKXD_SCALE` (`demo` default, `paper` for full size). A
+    /// value [`parse`](Self::parse) rejects prints the variable and exits
+    /// with status 2, like [`exec_from_env`](crate::exec_from_env), so a
+    /// typo never silently runs demo scale.
     pub fn from_env() -> Self {
-        match std::env::var("SPARKXD_SCALE").as_deref() {
-            Ok("paper") => Self::paper(),
-            _ => Self::demo(),
+        match std::env::var("SPARKXD_SCALE") {
+            Err(_) => Self::demo(),
+            Ok(raw) => Self::parse(&raw).unwrap_or_else(|| {
+                eprintln!(
+                    "sparkxd: unknown SPARKXD_SCALE={raw:?} (expected \"demo\" or \"paper\")"
+                );
+                std::process::exit(2);
+            }),
+        }
+    }
+
+    /// `demo` or `paper`, trimmed and case-insensitive; `None` for
+    /// anything else.
+    pub fn parse(raw: &str) -> Option<Self> {
+        match raw.trim().to_ascii_lowercase().as_str() {
+            "demo" => Some(Self::demo()),
+            "paper" => Some(Self::paper()),
+            _ => None,
         }
     }
 
@@ -86,6 +104,22 @@ mod tests {
             Scale::paper().network_sizes,
             vec![400, 900, 1600, 2500, 3600]
         );
+    }
+
+    #[test]
+    fn parse_accepts_only_the_two_scales() {
+        for (raw, want) in [
+            ("demo", Some("demo")),
+            ("paper", Some("paper")),
+            ("PAPER", Some("paper")),
+            ("paper ", Some("paper")),
+            (" Demo\n", Some("demo")),
+            ("papr", None),
+            ("full", None),
+            ("", None),
+        ] {
+            assert_eq!(Scale::parse(raw).map(|s| s.label), want, "{raw:?}");
+        }
     }
 
     #[test]

@@ -23,12 +23,12 @@ pub struct EnergyEvaluation {
 }
 
 impl EnergyEvaluation {
-    /// Replays the mapping's read trace on `config` and prices it. Uses
-    /// the batch replay path — mapped weight images are long same-row
-    /// bursts, so this is O(rows) rather than O(columns).
+    /// Replays the mapping's read trace on `config` and prices it. Mapped
+    /// weight images are long same-row bursts, so the replay is O(rows)
+    /// rather than O(columns).
     pub fn evaluate(config: &DramConfig, mapping: &Mapping) -> Self {
         let mut model = DramModel::new(config.clone());
-        let outcome = model.replay_compressed(&mapping.read_trace());
+        let outcome = model.replay(&mapping.read_trace());
         let energy = EnergyModel::for_config(config);
         let breakdown = energy.trace_energy(&outcome.stats, &outcome.latency);
         // Energy per weight-image replay, in nJ so the log2 histogram

@@ -470,8 +470,7 @@ mod tests {
         let m = BaselineMapping.map(10, &g, &p, 1.0).unwrap();
         let t = m.read_trace();
         assert_eq!(t.len(), 10);
-        let expanded = t.expand();
-        assert_eq!(expanded.accesses()[3].coord, m.columns()[3]);
+        assert_eq!(t.iter().nth(3).unwrap().coord, m.columns()[3]);
         // Sequential columns collapse into runs: 10 columns over rows of 8
         // is two ops, not ten.
         assert_eq!(t.num_ops(), 2);

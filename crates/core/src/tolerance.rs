@@ -227,6 +227,33 @@ mod tests {
     }
 
     #[test]
+    fn zero_ber_point_equals_clean_evaluation_bit_for_bit() {
+        // No flips means an empty touched-row list: the corrupt-and-swap
+        // path must then evaluate exactly the clean network.
+        let train = SynthDigits.generate(80, 1);
+        let test = SynthDigits.generate(40, 2);
+        let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(30).with_timesteps(40));
+        net.train_epoch(&train, 5);
+        let labeler = net.label_neurons(&train, 6);
+        let exec = ExecConfig::default();
+        let seed = 99;
+        let before = net.weights().clone();
+        let clean = BatchEvaluator::new(exec).evaluate(net.params(), &test, &labeler, seed ^ 0xACC);
+        let curve = analyze_tolerance(
+            &mut net,
+            &labeler,
+            &test,
+            &[0.0],
+            ErrorModel::Model0,
+            1,
+            seed,
+            &exec,
+        );
+        assert_eq!(curve.points(), &[(0.0, clean)]);
+        assert_eq!(net.weights(), &before, "weights restored");
+    }
+
+    #[test]
     fn analysis_restores_weights_and_measures_degradation() {
         let train = SynthDigits.generate(80, 1);
         let test = SynthDigits.generate(40, 2);

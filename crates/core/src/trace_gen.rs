@@ -104,8 +104,8 @@ mod tests {
         let m = BaselineMapping.map(10, &g, &p, 1.0).unwrap();
         let t = inference_trace(&m, 3);
         assert_eq!(t.len(), 30);
-        let expanded = t.expand();
-        assert_eq!(expanded.accesses()[0].coord, expanded.accesses()[10].coord);
+        let accesses: Vec<_> = t.iter().collect();
+        assert_eq!(accesses[0].coord, accesses[10].coord);
         // `repeat` replaces materialized copies: the op sequence stays that
         // of a single pass.
         assert_eq!(t.repeat(), 3);
@@ -129,13 +129,13 @@ mod tests {
         let p = ErrorProfile::uniform(0.0, g.total_subarrays());
         let m = BaselineMapping.map(20, &g, &p, 1.0).unwrap();
         let compressed = inference_trace(&m, 4);
-        let mut materialized = sparkxd_dram::AccessTrace::new();
+        let mut materialized = sparkxd_dram::CompressedTrace::new();
         for _ in 0..4 {
-            materialized.extend(m.read_trace().expand());
+            materialized.extend(m.read_trace().iter());
         }
         let config = DramConfig::tiny();
-        let batch = DramModel::new(config.clone()).replay_compressed(&compressed);
-        let reference = DramModel::new(config).replay(&materialized);
+        let batch = DramModel::new(config.clone()).replay(&compressed);
+        let reference = DramModel::new(config).replay(&materialized.expand());
         assert_eq!(batch, reference);
     }
 

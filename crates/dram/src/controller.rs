@@ -1,15 +1,14 @@
 //! Trace replay: row-buffer classification plus latency accounting with
 //! bank-level parallelism (the multi-bank burst feature of paper Fig. 9b).
 //!
-//! Two replay paths produce identical results:
-//!
-//! * **per-access** ([`DramModel::replay`]) — walks an [`AccessTrace`] one
-//!   column at a time; the reference implementation and equivalence oracle;
-//! * **batch** ([`DramModel::replay_compressed`]) — walks a
-//!   [`CompressedTrace`]; the first access of a [`TraceOp::Run`] goes
-//!   through the normal state machine, the remaining `len - 1` accesses
-//!   are row-buffer hits by construction and are accounted in closed form
-//!   (see `replay_compressed_inner` for the derivation).
+//! [`DramModel::replay`] is the one walk over a [`CompressedTrace`]. The
+//! first access of every op goes through the bank state machine
+//! (`step_timed`); the remaining `len - 1` accesses of a [`TraceOp::Run`]
+//! are row-buffer hits by construction and are accounted in closed form
+//! (see `replay_inner` for the derivation). Replaying
+//! [`CompressedTrace::expand`] steps every access through the state
+//! machine, so `replay(&t)` against `replay(&t.expand())` checks the
+//! closed form against per-access stepping.
 //!
 //! [`TraceOp::Run`]: crate::trace::TraceOp::Run
 
@@ -17,7 +16,7 @@ use crate::bank::{AccessKind, BankState};
 use crate::geometry::DramCoord;
 use crate::stats::AccessStats;
 use crate::timing::DramConfig;
-use crate::trace::{AccessTrace, CompressedTrace, Direction, TraceOp};
+use crate::trace::{CompressedTrace, Direction};
 
 /// Timing outcome of one replay.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -76,11 +75,11 @@ pub struct ReplayOutcome {
 /// # Example
 ///
 /// ```
-/// use sparkxd_dram::{AccessTrace, DramConfig, DramModel};
+/// use sparkxd_dram::{CompressedTrace, DramConfig, DramModel};
 ///
 /// let config = DramConfig::tiny();
-/// let seq = AccessTrace::sequential_reads(&config.geometry, 32);
-/// let inter = AccessTrace::interleaved_reads(&config.geometry, 32);
+/// let seq = CompressedTrace::sequential_reads(&config.geometry, 32);
+/// let inter = CompressedTrace::interleaved_reads(&config.geometry, 32);
 /// let seq_out = DramModel::new(config.clone()).replay(&seq);
 /// let inter_out = DramModel::new(config).replay(&inter);
 /// // Interleaving exposes bank-level overlap.
@@ -122,24 +121,14 @@ impl DramModel {
         ((c.channel * g.ranks + c.rank) * g.chips + c.chip) * g.banks + c.bank
     }
 
-    /// The single classification primitive: routes the access through the
-    /// bank's row-buffer state machine. Both the replay paths and
-    /// [`classify`](Self::classify) go through here, so the classification
-    /// logic exists exactly once.
-    #[inline]
-    fn classify_step(&mut self, coord: &DramCoord) -> (usize, AccessKind) {
-        let bi = self.bank_index(coord);
-        let row = coord.bank_row(&self.config.geometry);
-        (bi, self.banks[bi].access(row))
-    }
-
     /// One access through the full timing machinery. Returns the bank
     /// index, the classification, and the time the data burst starts on
     /// the shared bus (the burst ends `t_burst` later).
     #[inline]
     fn step_timed(&mut self, coord: &DramCoord) -> (usize, AccessKind, f64) {
         let t = self.config.timing;
-        let (bi, kind) = self.classify_step(coord);
+        let bi = self.bank_index(coord);
+        let kind = self.banks[bi].access(coord.bank_row(&self.config.geometry));
 
         // Command timeline within the bank.
         let mut ready = self.bank_ready[bi];
@@ -168,8 +157,7 @@ impl DramModel {
     }
 
     /// Assembles the outcome; `serial_ns` and `bus_busy_ns` are pure
-    /// functions of the aggregate counters, computed identically by both
-    /// replay paths.
+    /// functions of the aggregate counters.
     fn finish(
         &self,
         stats: AccessStats,
@@ -188,9 +176,9 @@ impl DramModel {
             },
             kinds,
         };
-        // Both replay paths (per-access and compressed) funnel through
-        // here, so this is the single observation point for row-buffer
-        // behaviour. Misses and conflicts each cost one activation.
+        // Every replay funnels through here, so this is the single
+        // observation point for row-buffer behaviour. Misses and conflicts
+        // each cost one activation.
         sparkxd_telemetry::counter_add!("dram.replays", 1);
         sparkxd_telemetry::counter_add!("dram.row_hits", stats.hits);
         sparkxd_telemetry::counter_add!("dram.row_misses", stats.misses);
@@ -200,58 +188,30 @@ impl DramModel {
         outcome
     }
 
-    /// Replays `trace` access by access, consuming current bank state
-    /// (call on a fresh model for independent measurements). Aggregate
-    /// stats only; use [`replay_with_kinds`](Self::replay_with_kinds) when
-    /// per-access alignment matters.
-    pub fn replay(&mut self, trace: &AccessTrace) -> ReplayOutcome {
+    /// Replays `trace`, consuming current bank state (call on a fresh
+    /// model for independent measurements). Each [`TraceOp::Run`] costs
+    /// O(1) regardless of its length. Aggregate stats only; use
+    /// [`replay_with_kinds`](Self::replay_with_kinds) when per-access
+    /// alignment matters.
+    ///
+    /// The closed-form run tail matches stepping the same accesses one by
+    /// one (`replay(&trace.expand())`) bit for bit whenever the timing
+    /// parameters are exactly representable, which holds for every
+    /// JEDEC-derived profile; circuit-derived core timings agree to
+    /// ≤ 1 ulp per run.
+    ///
+    /// [`TraceOp::Run`]: crate::trace::TraceOp::Run
+    pub fn replay(&mut self, trace: &CompressedTrace) -> ReplayOutcome {
         self.replay_inner(trace, false)
     }
 
-    /// Per-access replay that also captures the classification of every
-    /// access, aligned with the trace.
-    pub fn replay_with_kinds(&mut self, trace: &AccessTrace) -> ReplayOutcome {
+    /// Replay that also captures the classification of every access,
+    /// aligned with the expanded trace.
+    pub fn replay_with_kinds(&mut self, trace: &CompressedTrace) -> ReplayOutcome {
         self.replay_inner(trace, true)
     }
 
-    fn replay_inner(&mut self, trace: &AccessTrace, want_kinds: bool) -> ReplayOutcome {
-        let _span = sparkxd_telemetry::span!("dram.replay");
-        let t_burst = self.config.timing.t_burst;
-        let mut stats = AccessStats::new();
-        let mut kinds = want_kinds.then(|| Vec::with_capacity(trace.len()));
-        let mut last_data_end: f64 = 0.0;
-        for access in trace {
-            let (_, kind, data_start) = self.step_timed(&access.coord);
-            stats.record(kind, access.direction == Direction::Write);
-            if let Some(v) = kinds.as_mut() {
-                v.push(kind);
-            }
-            last_data_end = last_data_end.max(data_start + t_burst);
-        }
-        self.finish(stats, last_data_end, kinds)
-    }
-
-    /// Batch replay of a [`CompressedTrace`]: each [`TraceOp::Run`] costs
-    /// O(1) regardless of its length. Produces the same stats and latency
-    /// as [`replay`](Self::replay) on the expanded trace (bit-identical
-    /// whenever the timing parameters are exactly representable, which
-    /// holds for every JEDEC-derived profile; circuit-derived core timings
-    /// agree to ≤ 1 ulp per run).
-    pub fn replay_compressed(&mut self, trace: &CompressedTrace) -> ReplayOutcome {
-        self.replay_compressed_inner(trace, false)
-    }
-
-    /// Batch replay that also captures per-access kinds, aligned with the
-    /// expanded trace.
-    pub fn replay_compressed_with_kinds(&mut self, trace: &CompressedTrace) -> ReplayOutcome {
-        self.replay_compressed_inner(trace, true)
-    }
-
-    fn replay_compressed_inner(
-        &mut self,
-        trace: &CompressedTrace,
-        want_kinds: bool,
-    ) -> ReplayOutcome {
+    fn replay_inner(&mut self, trace: &CompressedTrace, want_kinds: bool) -> ReplayOutcome {
         let _span = sparkxd_telemetry::span!("dram.replay");
         let t = self.config.timing;
         let mut stats = AccessStats::new();
@@ -259,90 +219,38 @@ impl DramModel {
         let mut last_data_end: f64 = 0.0;
         for _ in 0..trace.repeat() {
             for op in trace.ops() {
-                match *op {
-                    TraceOp::Access(a) => {
-                        let (_, kind, data_start) = self.step_timed(&a.coord);
-                        stats.record(kind, a.direction == Direction::Write);
-                        if let Some(v) = kinds.as_mut() {
-                            v.push(kind);
-                        }
-                        last_data_end = last_data_end.max(data_start + t.t_burst);
-                    }
-                    TraceOp::Run {
-                        start,
-                        len,
-                        direction,
-                    } => {
-                        let is_write = direction == Direction::Write;
-                        // First access: normal classification and timing.
-                        let (bi, kind, first_start) = self.step_timed(&start);
-                        stats.record(kind, is_write);
-                        if let Some(v) = kinds.as_mut() {
-                            v.push(kind);
-                        }
-                        // Remaining accesses are hits to the row the first
-                        // access just opened (or found open). Per access,
-                        // the scalar step would compute
-                        //   data_start' = max(bank_ready + t_cl, bus_free)
-                        //              = max(data_start + min(t_burst, t_cl),
-                        //                    data_start + t_burst)
-                        //              = data_start + t_burst,
-                        // so the whole tail collapses to one multiply.
-                        let tail = len - 1;
-                        let mut last_start = first_start;
-                        if tail > 0 {
-                            last_start = first_start + tail as f64 * t.t_burst;
-                            self.bus_free = last_start + t.t_burst;
-                            self.bank_ready[bi] = last_start - t.t_cl + t.t_burst.min(t.t_cl);
-                            stats.record_many(AccessKind::Hit, tail as u64, is_write);
-                            if let Some(v) = kinds.as_mut() {
-                                v.extend(std::iter::repeat_n(AccessKind::Hit, tail));
-                            }
-                        }
-                        last_data_end = last_data_end.max(last_start + t.t_burst);
+                // The op's first access (a lone `Access` is a run of one):
+                // normal classification and timing.
+                let head = op.access_at(0);
+                let is_write = head.direction == Direction::Write;
+                let (bi, kind, first_start) = self.step_timed(&head.coord);
+                stats.record(kind, is_write);
+                if let Some(v) = kinds.as_mut() {
+                    v.push(kind);
+                }
+                // Remaining accesses are hits to the row the first access
+                // just opened (or found open). Per access, the scalar step
+                // would compute
+                //   data_start' = max(bank_ready + t_cl, bus_free)
+                //              = max(data_start + min(t_burst, t_cl),
+                //                    data_start + t_burst)
+                //              = data_start + t_burst,
+                // so the whole tail collapses to one multiply.
+                let tail = op.len() - 1;
+                let mut last_start = first_start;
+                if tail > 0 {
+                    last_start = first_start + tail as f64 * t.t_burst;
+                    self.bus_free = last_start + t.t_burst;
+                    self.bank_ready[bi] = last_start - t.t_cl + t.t_burst.min(t.t_cl);
+                    stats.record_many(AccessKind::Hit, tail as u64, is_write);
+                    if let Some(v) = kinds.as_mut() {
+                        v.extend(std::iter::repeat_n(AccessKind::Hit, tail));
                     }
                 }
+                last_data_end = last_data_end.max(last_start + t.t_burst);
             }
         }
         self.finish(stats, last_data_end, kinds)
-    }
-
-    /// Classifies a trace without timing (faster; used when only the
-    /// hit/miss/conflict mix matters, e.g. for energy).
-    pub fn classify(&mut self, trace: &AccessTrace) -> AccessStats {
-        let mut stats = AccessStats::new();
-        for access in trace {
-            let (_, kind) = self.classify_step(&access.coord);
-            stats.record(kind, access.direction == Direction::Write);
-        }
-        stats
-    }
-
-    /// Classification-only walk of a compressed trace: O(1) per run, same
-    /// counters as [`classify`](Self::classify) on the expanded trace.
-    pub fn classify_compressed(&mut self, trace: &CompressedTrace) -> AccessStats {
-        let mut stats = AccessStats::new();
-        for _ in 0..trace.repeat() {
-            for op in trace.ops() {
-                match *op {
-                    TraceOp::Access(a) => {
-                        let (_, kind) = self.classify_step(&a.coord);
-                        stats.record(kind, a.direction == Direction::Write);
-                    }
-                    TraceOp::Run {
-                        start,
-                        len,
-                        direction,
-                    } => {
-                        let is_write = direction == Direction::Write;
-                        let (_, kind) = self.classify_step(&start);
-                        stats.record(kind, is_write);
-                        stats.record_many(AccessKind::Hit, (len - 1) as u64, is_write);
-                    }
-                }
-            }
-        }
-        stats
     }
 
     /// Resets all banks to the precharged state and time 0.
@@ -370,7 +278,7 @@ mod tests {
     fn sequential_trace_is_mostly_hits() {
         let g = DramGeometry::tiny();
         let mut m = model();
-        let out = m.replay(&AccessTrace::sequential_reads(&g, 32));
+        let out = m.replay(&CompressedTrace::sequential_reads(&g, 32));
         // 32 columns = 4 rows of 8: 4 openings, 28 hits.
         assert_eq!(out.stats.hits, 28);
         assert_eq!(out.stats.misses + out.stats.conflicts, 4);
@@ -386,7 +294,7 @@ mod tests {
             .linear_to_coord(g.cols_per_row as u64, AddressOrder::BaselineRowMajor)
             .unwrap();
         assert_eq!(a.bank, b.bank);
-        let trace: AccessTrace = [a, b, a, b].into_iter().map(Access::read).collect();
+        let trace: CompressedTrace = [a, b, a, b].into_iter().map(Access::read).collect();
         let mut m = model();
         let out = m.replay(&trace);
         assert_eq!(out.stats.misses, 1);
@@ -403,10 +311,10 @@ mod tests {
         let b = g
             .linear_to_coord(g.cols_per_row as u64, AddressOrder::BaselineRowMajor)
             .unwrap();
-        let thrash: AccessTrace = (0..16)
+        let thrash: CompressedTrace = (0..16)
             .map(|i| Access::read(if i % 2 == 0 { a } else { b }))
             .collect();
-        let inter = AccessTrace::interleaved_reads(&g, 16);
+        let inter = CompressedTrace::interleaved_reads(&g, 16);
         let t1 = model().replay(&thrash).latency.total_ns;
         let t2 = model().replay(&inter).latency.total_ns;
         assert!(t2 < t1, "interleaved {t2} ns should beat thrashing {t1} ns");
@@ -415,7 +323,7 @@ mod tests {
     #[test]
     fn multi_bank_overlap_hides_activation() {
         let g = DramGeometry::tiny();
-        let inter = AccessTrace::interleaved_reads(&g, 16);
+        let inter = CompressedTrace::interleaved_reads(&g, 16);
         let out = DramModel::new(DramConfig::tiny()).replay(&inter);
         assert!(
             out.latency.overlap_factor() > 1.1,
@@ -425,65 +333,32 @@ mod tests {
     }
 
     #[test]
-    fn classify_matches_replay_stats() {
-        let g = DramGeometry::tiny();
-        let trace = AccessTrace::sequential_reads(&g, 40);
-        let s1 = DramModel::new(DramConfig::tiny()).replay(&trace).stats;
-        let s2 = DramModel::new(DramConfig::tiny()).classify(&trace);
-        assert_eq!(s1, s2);
-    }
-
-    #[test]
-    fn classify_compressed_matches_compressed_replay_stats() {
-        let g = DramGeometry::tiny();
-        // Mixed trace: two sequential rows, a thrash, another run.
-        let mut trace = AccessTrace::sequential_reads(&g, 2 * g.cols_per_row);
-        let far = g
-            .linear_to_coord(5 * g.cols_per_row as u64, AddressOrder::BaselineRowMajor)
-            .unwrap();
-        trace.push(Access::write(far));
-        trace.extend(AccessTrace::sequential_reads(&g, g.cols_per_row));
-        let compressed = crate::trace::CompressedTrace::compress(&trace);
-        let replayed = DramModel::new(DramConfig::tiny())
-            .replay_compressed(&compressed)
-            .stats;
-        let classified = DramModel::new(DramConfig::tiny()).classify_compressed(&compressed);
-        assert_eq!(replayed, classified);
-        // And both agree with the per-access paths.
-        assert_eq!(
-            classified,
-            DramModel::new(DramConfig::tiny()).classify(&trace)
-        );
-    }
-
-    #[test]
     fn compressed_replay_matches_per_access_on_sequential_trace() {
         let g = DramGeometry::tiny();
-        let trace = AccessTrace::sequential_reads(&g, 48);
-        let compressed = crate::trace::CompressedTrace::compress(&trace);
-        let per_access = DramModel::new(DramConfig::tiny()).replay(&trace);
-        let batch = DramModel::new(DramConfig::tiny()).replay_compressed(&compressed);
+        let trace = CompressedTrace::sequential_reads(&g, 48);
+        let per_access = DramModel::new(DramConfig::tiny()).replay(&trace.expand());
+        let batch = DramModel::new(DramConfig::tiny()).replay(&trace);
         assert_eq!(per_access, batch);
     }
 
     #[test]
     fn compressed_replay_honours_repeat() {
         let g = DramGeometry::tiny();
-        let one_pass = AccessTrace::sequential_reads(&g, 24);
-        let mut three_passes = AccessTrace::new();
+        let one_pass = CompressedTrace::sequential_reads(&g, 24);
+        let mut three_passes = CompressedTrace::new();
         for _ in 0..3 {
-            three_passes.extend(one_pass.clone());
+            three_passes.extend(one_pass.iter());
         }
-        let compressed = crate::trace::CompressedTrace::compress(&one_pass).with_repeat(3);
-        let per_access = DramModel::new(DramConfig::tiny()).replay(&three_passes);
-        let batch = DramModel::new(DramConfig::tiny()).replay_compressed(&compressed);
+        let compressed = one_pass.with_repeat(3);
+        let per_access = DramModel::new(DramConfig::tiny()).replay(&three_passes.expand());
+        let batch = DramModel::new(DramConfig::tiny()).replay(&compressed);
         assert_eq!(per_access, batch);
     }
 
     #[test]
     fn reset_restores_fresh_state() {
         let g = DramGeometry::tiny();
-        let trace = AccessTrace::sequential_reads(&g, 8);
+        let trace = CompressedTrace::sequential_reads(&g, 8);
         let mut m = model();
         let first = m.replay(&trace);
         m.reset();
@@ -494,7 +369,7 @@ mod tests {
     #[test]
     fn kinds_align_with_trace() {
         let g = DramGeometry::tiny();
-        let trace = AccessTrace::sequential_reads(&g, 5);
+        let trace = CompressedTrace::sequential_reads(&g, 5);
         let out = model().replay_with_kinds(&trace);
         let kinds = out.kinds.expect("kinds were requested");
         assert_eq!(kinds.len(), 5);
@@ -505,12 +380,10 @@ mod tests {
     #[test]
     fn kinds_are_opt_in() {
         let g = DramGeometry::tiny();
-        let trace = AccessTrace::sequential_reads(&g, 5);
+        let trace = CompressedTrace::sequential_reads(&g, 5);
         assert!(model().replay(&trace).kinds.is_none());
-        let compressed = crate::trace::CompressedTrace::compress(&trace);
-        assert!(model().replay_compressed(&compressed).kinds.is_none());
         let kinds = model()
-            .replay_compressed_with_kinds(&compressed)
+            .replay_with_kinds(&trace)
             .kinds
             .expect("kinds were requested");
         assert_eq!(kinds.len(), 5);
@@ -519,7 +392,7 @@ mod tests {
     #[test]
     fn bus_utilisation_bounded() {
         let g = DramGeometry::tiny();
-        let trace = AccessTrace::sequential_reads(&g, 64);
+        let trace = CompressedTrace::sequential_reads(&g, 64);
         let out = model().replay(&trace);
         let u = out.latency.bus_utilisation();
         assert!(u > 0.0 && u <= 1.0);
@@ -527,7 +400,7 @@ mod tests {
 
     #[test]
     fn empty_trace_reports_zeroes() {
-        let out = model().replay(&AccessTrace::new());
+        let out = model().replay(&CompressedTrace::new());
         assert_eq!(out.stats.total(), 0);
         assert_eq!(out.latency.total_ns, 0.0);
         assert_eq!(out.latency.overlap_factor(), 1.0);

@@ -17,25 +17,25 @@
 //!
 //! The default configuration is the paper's LPDDR3-1600 4Gb device.
 //!
-//! ## Trace representation & replay paths
+//! ## Trace representation & replay
 //!
-//! Weight streaming produces long same-row bursts, so traces come in two
-//! forms and the model offers three ways to consume them:
-//!
-//! | path | input | cost | use when |
-//! |------|-------|------|----------|
-//! | [`DramModel::replay_compressed`] | [`CompressedTrace`] | O(1) per [`trace::TraceOp::Run`] | the default: timing + stats for mapped weight images (energy eval, figures, nightly) |
-//! | [`DramModel::classify_compressed`] / [`DramModel::classify`] | either | no timing state | only the hit/miss/conflict mix matters |
-//! | [`DramModel::replay`] | [`AccessTrace`] | O(accesses) | reference/oracle path, or traces with no run structure |
+//! Weight streaming produces long same-row bursts, so the one trace type,
+//! [`CompressedTrace`], run-length encodes them: a same-row burst of
+//! consecutive columns is one [`trace::TraceOp::Run`], and a `repeat` count
+//! lets multi-pass inference traces skip materializing per-pass copies.
+//! [`DramModel::replay`] is the one walk: the first access of each op goes
+//! through the row-buffer state machine and a run's remaining hits are
+//! accounted in closed form, so a run costs O(1).
 //!
 //! Per-access classifications (`kinds`) are opt-in via
-//! [`DramModel::replay_with_kinds`] /
-//! [`DramModel::replay_compressed_with_kinds`]; the plain entry points keep
+//! [`DramModel::replay_with_kinds`]; [`DramModel::replay`] keeps
 //! [`ReplayOutcome::kinds`] as `None` so aggregate consumers skip the
-//! allocation. A [`CompressedTrace`] also carries a `repeat` count so
-//! multi-pass inference traces never materialize per-pass copies.
+//! allocation.
 //!
-//! Both replay paths produce the same stats and latency — bit-identical
+//! [`CompressedTrace::expand`] gives the per-access form (one
+//! [`trace::TraceOp::Access`] per column), and replaying it steps every
+//! access through the state machine. `replay(&t)` and
+//! `replay(&t.expand())` produce the same stats and latency — bit-identical
 //! whenever the timing parameters are exactly representable in binary
 //! (true for all JEDEC-style profiles, whose timings are multiples of a
 //! quarter nanosecond); circuit-derived core timings agree to ≤ 1 ulp per
@@ -45,20 +45,20 @@
 //! ## Example
 //!
 //! ```
-//! use sparkxd_dram::{AccessTrace, CompressedTrace, DramConfig, DramModel};
+//! use sparkxd_dram::{CompressedTrace, DramConfig, DramModel};
 //!
 //! let config = DramConfig::lpddr3_1600_4gb();
-//! // Stream 64 column bursts laid out sequentially (baseline mapping).
-//! let trace = AccessTrace::sequential_reads(&config.geometry, 64);
+//! // Stream 64 column bursts laid out sequentially (baseline mapping):
+//! // one op per row.
+//! let trace = CompressedTrace::sequential_reads(&config.geometry, 64);
 //! let mut model = DramModel::new(config.clone());
 //! let outcome = model.replay(&trace);
 //! assert_eq!(outcome.stats.total(), 64);
 //! assert!(outcome.stats.hits > outcome.stats.conflicts);
 //!
-//! // Same measurement through the batch path: one op per row.
-//! let compressed = CompressedTrace::compress(&trace);
-//! let batch = DramModel::new(config).replay_compressed(&compressed);
-//! assert_eq!(batch, outcome);
+//! // Same measurement stepped access by access.
+//! let per_access = DramModel::new(config).replay(&trace.expand());
+//! assert_eq!(per_access, outcome);
 //! ```
 
 pub mod bank;
@@ -73,7 +73,7 @@ pub use controller::{DramModel, LatencyReport, ReplayOutcome};
 pub use geometry::{AddressOrder, DramCoord, DramGeometry, SubarrayId};
 pub use stats::AccessStats;
 pub use timing::{DramConfig, DramTiming};
-pub use trace::{Access, AccessTrace, CompressedTrace, Direction, TraceOp};
+pub use trace::{Access, CompressedTrace, Direction, TraceOp};
 
 /// Errors reported by the DRAM model.
 #[derive(Debug, Clone, PartialEq, Eq)]

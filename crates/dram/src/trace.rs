@@ -1,14 +1,13 @@
 //! DRAM access traces: the replayable record of column accesses produced by
 //! trace generation in `sparkxd-core` and consumed by [`DramModel`].
 //!
-//! Two representations coexist:
-//!
-//! * [`AccessTrace`] — one [`Access`] per burst column, the reference
-//!   representation replayed access by access;
-//! * [`CompressedTrace`] — a run-length encoding ([`TraceOp`]) where a
-//!   same-row burst of consecutive columns is a single [`TraceOp::Run`],
-//!   plus a `repeat` count for multi-pass workloads. [`DramModel`] replays
-//!   a run in O(1) instead of O(len).
+//! There is one representation, [`CompressedTrace`]: a run-length encoding
+//! ([`TraceOp`]) in which a same-row burst of consecutive columns is a
+//! single [`TraceOp::Run`], plus a `repeat` count for multi-pass workloads.
+//! [`DramModel`] replays a run in O(1) instead of O(len).
+//! [`CompressedTrace::expand`] gives the per-access form (one
+//! [`TraceOp::Access`] per column), which replays access by access and is
+//! the reference the run arithmetic is checked against.
 //!
 //! [`DramModel`]: crate::DramModel
 
@@ -48,124 +47,6 @@ impl Access {
             coord,
             direction: Direction::Write,
         }
-    }
-}
-
-/// An ordered sequence of accesses.
-///
-/// # Example
-///
-/// ```
-/// use sparkxd_dram::{AccessTrace, DramGeometry};
-///
-/// let g = DramGeometry::tiny();
-/// let trace = AccessTrace::sequential_reads(&g, 10);
-/// assert_eq!(trace.len(), 10);
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AccessTrace {
-    accesses: Vec<Access>,
-}
-
-impl AccessTrace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds a trace from explicit accesses.
-    pub fn from_accesses(accesses: Vec<Access>) -> Self {
-        Self { accesses }
-    }
-
-    /// `n` reads over consecutive linear addresses in baseline row-major
-    /// order — the paper's baseline weight layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds device capacity.
-    pub fn sequential_reads(geometry: &DramGeometry, n: usize) -> Self {
-        let accesses = (0..n as u64)
-            .map(|addr| {
-                let coord = geometry
-                    .linear_to_coord(addr, AddressOrder::BaselineRowMajor)
-                    .expect("trace exceeds device capacity");
-                Access::read(coord)
-            })
-            .collect();
-        Self { accesses }
-    }
-
-    /// `n` reads striped across banks (multi-bank burst pattern).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds device capacity.
-    pub fn interleaved_reads(geometry: &DramGeometry, n: usize) -> Self {
-        let accesses = (0..n as u64)
-            .map(|addr| {
-                let coord = geometry
-                    .linear_to_coord(addr, AddressOrder::BankInterleaved)
-                    .expect("trace exceeds device capacity");
-                Access::read(coord)
-            })
-            .collect();
-        Self { accesses }
-    }
-
-    /// Appends an access.
-    pub fn push(&mut self, access: Access) {
-        self.accesses.push(access);
-    }
-
-    /// Number of accesses.
-    pub fn len(&self) -> usize {
-        self.accesses.len()
-    }
-
-    /// `true` when the trace holds no accesses.
-    pub fn is_empty(&self) -> bool {
-        self.accesses.is_empty()
-    }
-
-    /// Iterates over the accesses in order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Access> {
-        self.accesses.iter()
-    }
-
-    /// The underlying accesses.
-    pub fn accesses(&self) -> &[Access] {
-        &self.accesses
-    }
-}
-
-impl FromIterator<Access> for AccessTrace {
-    fn from_iter<T: IntoIterator<Item = Access>>(iter: T) -> Self {
-        Self {
-            accesses: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<Access> for AccessTrace {
-    fn extend<T: IntoIterator<Item = Access>>(&mut self, iter: T) {
-        self.accesses.extend(iter);
-    }
-}
-
-impl<'a> IntoIterator for &'a AccessTrace {
-    type Item = &'a Access;
-    type IntoIter = std::slice::Iter<'a, Access>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.accesses.iter()
-    }
-}
-
-impl IntoIterator for AccessTrace {
-    type Item = Access;
-    type IntoIter = std::vec::IntoIter<Access>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.accesses.into_iter()
     }
 }
 
@@ -212,7 +93,7 @@ impl TraceOp {
     }
 
     /// The `i`-th access of the op (`i < len`).
-    fn access_at(&self, i: usize) -> Access {
+    pub(crate) fn access_at(&self, i: usize) -> Access {
         match *self {
             TraceOp::Access(a) => a,
             TraceOp::Run {
@@ -247,21 +128,22 @@ fn follows(prev: &DramCoord, next: &DramCoord) -> bool {
 /// `repeat` times.
 ///
 /// [`push`](Self::push) keeps the representation *normalized* — maximal
-/// runs, single accesses stored as [`TraceOp::Access`] — so
-/// [`compress`](Self::compress) ∘ [`expand`](Self::expand) is the identity
-/// on normalized traces with `repeat == 1`.
+/// runs, single accesses stored as [`TraceOp::Access`] — so collecting the
+/// accesses of [`expand`](Self::expand) gives back the same trace when it
+/// is normalized and `repeat == 1`.
 ///
 /// # Example
 ///
 /// ```
-/// use sparkxd_dram::{AccessTrace, CompressedTrace, DramGeometry};
+/// use sparkxd_dram::{CompressedTrace, DramGeometry};
 ///
 /// let g = DramGeometry::tiny();
-/// let flat = AccessTrace::sequential_reads(&g, 32);
-/// let c = CompressedTrace::compress(&flat);
+/// let c = CompressedTrace::sequential_reads(&g, 32);
 /// assert_eq!(c.len(), 32);
 /// assert_eq!(c.num_ops(), 4); // 4 rows of 8 columns -> 4 runs
-/// assert_eq!(c.expand(), flat);
+/// let flat = c.expand();
+/// assert_eq!(flat.num_ops(), 32); // one op per access
+/// assert_eq!(flat.iter().collect::<CompressedTrace>(), c);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressedTrace {
@@ -286,13 +168,12 @@ impl CompressedTrace {
 
     /// Builds a trace from explicit ops (not re-normalized).
     ///
-    /// Like [`AccessTrace::from_accesses`], coordinates are trusted: a
-    /// [`TraceOp::Run`] must stay within one row
-    /// (`start.col + len <= cols_per_row` for the target geometry) or the
-    /// hit accounting will not correspond to any physically addressed
-    /// stream. [`push`](Self::push)/[`compress`](Self::compress) uphold
-    /// this for valid input coordinates; use
-    /// [`validate`](Self::validate) to check foreign op lists.
+    /// Coordinates are trusted: a [`TraceOp::Run`] must stay within one
+    /// row (`start.col + len <= cols_per_row` for the target geometry) or
+    /// the hit accounting will not correspond to any physically addressed
+    /// stream. [`push`](Self::push) upholds this for valid input
+    /// coordinates; use [`validate`](Self::validate) to check foreign op
+    /// lists.
     ///
     /// # Panics
     ///
@@ -329,34 +210,36 @@ impl CompressedTrace {
         Ok(())
     }
 
-    /// Run-length encodes an [`AccessTrace`].
-    pub fn compress(trace: &AccessTrace) -> Self {
-        let mut c = Self::new();
-        for a in trace {
-            c.push(*a);
-        }
-        c
-    }
-
     /// `n` reads over consecutive linear addresses in baseline row-major
-    /// order (compressed counterpart of [`AccessTrace::sequential_reads`]).
+    /// order — the paper's baseline weight layout (one run per row).
     ///
     /// # Panics
     ///
     /// Panics if `n` exceeds device capacity.
     pub fn sequential_reads(geometry: &DramGeometry, n: usize) -> Self {
-        Self::compress(&AccessTrace::sequential_reads(geometry, n))
+        Self::reads(geometry, n, AddressOrder::BaselineRowMajor)
     }
 
-    /// `n` reads striped across banks (compressed counterpart of
-    /// [`AccessTrace::interleaved_reads`]; bank striping defeats run
-    /// merging, so this is mostly singleton ops).
+    /// `n` reads striped across banks (multi-bank burst pattern; bank
+    /// striping defeats run merging, so this is mostly singleton ops).
     ///
     /// # Panics
     ///
     /// Panics if `n` exceeds device capacity.
     pub fn interleaved_reads(geometry: &DramGeometry, n: usize) -> Self {
-        Self::compress(&AccessTrace::interleaved_reads(geometry, n))
+        Self::reads(geometry, n, AddressOrder::BankInterleaved)
+    }
+
+    fn reads(geometry: &DramGeometry, n: usize, order: AddressOrder) -> Self {
+        (0..n as u64)
+            .map(|addr| {
+                Access::read(
+                    geometry
+                        .linear_to_coord(addr, order)
+                        .expect("trace exceeds device capacity"),
+                )
+            })
+            .collect()
     }
 
     /// Appends an access, merging it into the trailing run when it
@@ -440,9 +323,12 @@ impl CompressedTrace {
             .flat_map(|op| (0..op.len()).map(move |i| op.access_at(i)))
     }
 
-    /// Materializes the equivalent per-access trace (all passes).
-    pub fn expand(&self) -> AccessTrace {
-        self.iter().collect()
+    /// The per-access form: every access of every pass as its own
+    /// [`TraceOp::Access`] (`repeat == 1`, not normalized). Replaying it
+    /// steps each access through the bank state machine, which makes it
+    /// the reference for the closed-form run arithmetic.
+    pub fn expand(&self) -> Self {
+        Self::from_ops(self.iter().map(TraceOp::Access).collect())
     }
 }
 
@@ -471,7 +357,7 @@ mod tests {
     #[test]
     fn sequential_reads_stay_in_one_row_first() {
         let g = DramGeometry::tiny();
-        let t = AccessTrace::sequential_reads(&g, g.cols_per_row);
+        let t = CompressedTrace::sequential_reads(&g, g.cols_per_row);
         let rows: std::collections::HashSet<_> =
             t.iter().map(|a| (a.coord.bank, a.coord.row)).collect();
         assert_eq!(rows.len(), 1, "first row's worth of accesses share a row");
@@ -480,7 +366,7 @@ mod tests {
     #[test]
     fn interleaved_reads_touch_multiple_banks_immediately() {
         let g = DramGeometry::tiny();
-        let t = AccessTrace::interleaved_reads(&g, g.banks);
+        let t = CompressedTrace::interleaved_reads(&g, g.banks);
         let banks: std::collections::HashSet<_> = t.iter().map(|a| a.coord.bank).collect();
         assert_eq!(banks.len(), g.banks);
     }
@@ -491,26 +377,18 @@ mod tests {
         let c = g
             .linear_to_coord(0, AddressOrder::BaselineRowMajor)
             .unwrap();
-        let mut t: AccessTrace = vec![Access::read(c)].into_iter().collect();
+        let mut t: CompressedTrace = vec![Access::read(c)].into_iter().collect();
         t.extend(vec![Access::write(c)]);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.accesses()[1].direction, Direction::Write);
-    }
-
-    #[test]
-    fn empty_trace() {
-        let t = AccessTrace::new();
-        assert!(t.is_empty());
-        assert_eq!(t.iter().count(), 0);
+        assert_eq!(t.ops()[1].direction(), Direction::Write);
     }
 
     #[test]
     fn compress_merges_sequential_columns_into_runs() {
         let g = DramGeometry::tiny();
-        let flat = AccessTrace::sequential_reads(&g, 3 * g.cols_per_row);
-        let c = CompressedTrace::compress(&flat);
+        let c = CompressedTrace::sequential_reads(&g, 3 * g.cols_per_row);
         assert_eq!(c.num_ops(), 3, "one run per row");
-        assert_eq!(c.len(), flat.len());
+        assert_eq!(c.len(), 3 * g.cols_per_row);
         for op in c.ops() {
             assert!(matches!(op, TraceOp::Run { len, .. } if *len == g.cols_per_row));
         }
@@ -519,12 +397,15 @@ mod tests {
     #[test]
     fn compress_expand_is_lossless() {
         let g = DramGeometry::tiny();
-        for flat in [
-            AccessTrace::sequential_reads(&g, 19),
-            AccessTrace::interleaved_reads(&g, 19),
-            AccessTrace::new(),
+        for c in [
+            CompressedTrace::sequential_reads(&g, 19),
+            CompressedTrace::interleaved_reads(&g, 19).with_repeat(2),
+            CompressedTrace::new(),
         ] {
-            assert_eq!(CompressedTrace::compress(&flat).expand(), flat);
+            let flat = c.expand();
+            assert_eq!(flat.num_ops(), c.len(), "one op per access");
+            assert!(flat.ops().iter().all(|op| matches!(op, TraceOp::Access(_))));
+            assert!(flat.iter().eq(c.iter()));
         }
     }
 
@@ -532,9 +413,9 @@ mod tests {
     fn compress_of_expand_is_identity_on_normalized_traces() {
         let g = DramGeometry::tiny();
         let c = CompressedTrace::sequential_reads(&g, 21);
-        assert_eq!(CompressedTrace::compress(&c.expand()), c);
+        assert_eq!(c.expand().iter().collect::<CompressedTrace>(), c);
         let i = CompressedTrace::interleaved_reads(&g, 13);
-        assert_eq!(CompressedTrace::compress(&i.expand()), i);
+        assert_eq!(i.expand().iter().collect::<CompressedTrace>(), i);
     }
 
     #[test]
@@ -573,11 +454,14 @@ mod tests {
     #[test]
     fn iteration_order_matches_expansion() {
         let g = DramGeometry::tiny();
-        let flat = AccessTrace::sequential_reads(&g, 17);
-        let c = CompressedTrace::compress(&flat);
-        for (a, b) in c.iter().zip(flat.iter()) {
-            assert_eq!(a, *b);
+        let c = CompressedTrace::sequential_reads(&g, 17);
+        for (addr, a) in c.iter().enumerate() {
+            let coord = g
+                .linear_to_coord(addr as u64, AddressOrder::BaselineRowMajor)
+                .unwrap();
+            assert_eq!(a, Access::read(coord));
         }
+        assert_eq!(c.iter().count(), 17);
     }
 
     #[test]
@@ -587,6 +471,7 @@ mod tests {
         assert_eq!(c.len(), 0);
         assert_eq!(c.repeat(), 1);
         assert_eq!(c.iter().count(), 0);
+        assert!(c.expand().is_empty());
     }
 
     #[test]

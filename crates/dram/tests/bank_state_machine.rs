@@ -2,7 +2,14 @@
 //! every (state, input) pair of the classification automaton, plus the
 //! interaction between per-bank states inside the full `DramModel`.
 
-use sparkxd_dram::{Access, AccessKind, AccessTrace, BankState, DramConfig, DramCoord, DramModel};
+use sparkxd_dram::{
+    Access, AccessKind, BankState, CompressedTrace, DramConfig, DramCoord, DramModel, TraceOp,
+};
+
+/// The accesses in order, one op each, exactly as given.
+fn per_access(accesses: Vec<Access>) -> CompressedTrace {
+    CompressedTrace::from_ops(accesses.into_iter().map(TraceOp::Access).collect())
+}
 
 fn coord(bank: usize, subarray: usize, row: usize, col: usize) -> DramCoord {
     DramCoord {
@@ -79,7 +86,7 @@ fn sequential_stream_counts_exactly() {
     let config = DramConfig::tiny();
     let cols_per_row = config.geometry.cols_per_row; // 8 in tiny
     let accesses = 8 * cols_per_row; // exactly 8 full rows
-    let trace = AccessTrace::sequential_reads(&config.geometry, accesses);
+    let trace = CompressedTrace::sequential_reads(&config.geometry, accesses);
     let outcome = DramModel::new(config).replay(&trace);
     let rows_touched = (accesses / cols_per_row) as u64;
     assert_eq!(outcome.stats.total(), accesses as u64);
@@ -105,7 +112,7 @@ fn banks_are_independent_state_machines() {
     let interleaved: Vec<Access> = (0..10)
         .map(|i| Access::read(coord(i % 2, 0, i % 2, 0)))
         .collect();
-    let out = DramModel::new(config.clone()).replay(&AccessTrace::from_accesses(interleaved));
+    let out = DramModel::new(config.clone()).replay(&per_access(interleaved));
     assert_eq!(out.stats.misses, 2);
     assert_eq!(out.stats.hits, 8);
     assert_eq!(out.stats.conflicts, 0);
@@ -113,7 +120,7 @@ fn banks_are_independent_state_machines() {
     let serial: Vec<Access> = (0..10)
         .map(|i| Access::read(coord(0, 0, i % 2, 0)))
         .collect();
-    let out = DramModel::new(config).replay(&AccessTrace::from_accesses(serial));
+    let out = DramModel::new(config).replay(&per_access(serial));
     assert_eq!(out.stats.misses, 1);
     assert_eq!(out.stats.conflicts, 9);
     assert_eq!(out.stats.hits, 0);
@@ -129,7 +136,7 @@ fn subarray_switch_within_bank_conflicts() {
         Access::read(coord(0, 1, 0, 0)),
         Access::read(coord(0, 2, 0, 0)),
     ];
-    let out = DramModel::new(config).replay(&AccessTrace::from_accesses(accesses));
+    let out = DramModel::new(config).replay(&per_access(accesses));
     assert_eq!(out.stats.misses, 1);
     assert_eq!(out.stats.conflicts, 2);
 }
@@ -144,7 +151,7 @@ fn constructed_sequence_classifies_miss_hit_conflict() {
         Access::read(coord(0, 0, 0, 1)), // same row, next col: hit
         Access::read(coord(0, 0, 1, 0)), // different row: conflict
     ];
-    let out = DramModel::new(config).replay(&AccessTrace::from_accesses(accesses));
+    let out = DramModel::new(config).replay(&per_access(accesses));
     assert_eq!(out.stats.misses, 1);
     assert_eq!(out.stats.hits, 1);
     assert_eq!(out.stats.conflicts, 1);

@@ -5,17 +5,18 @@
 //! These are the numbers behind the Fig. 9b-style speedup comparisons;
 //! timing refactors must not drift them silently. All values are exact
 //! binary quarters (nominal LPDDR3 timings), so `==` on f64 is the right
-//! comparison — a 1-ulp drift is a real behaviour change. Both replay
-//! paths are checked against the same pins.
+//! comparison — a 1-ulp drift is a real behaviour change. Both the
+//! closed-form run replay and per-access stepping of the expanded trace
+//! are checked against the same pins.
 
 use sparkxd_dram::{
-    Access, AccessStats, AccessTrace, AddressOrder, CompressedTrace, DramConfig, DramGeometry,
-    DramModel, LatencyReport,
+    Access, AccessStats, AddressOrder, CompressedTrace, DramConfig, DramGeometry, DramModel,
+    LatencyReport,
 };
 
 /// 32 reads alternating between two rows of bank 0 (worst case: every
 /// access after the first is a conflict).
-fn row_thrash_trace(g: &DramGeometry, n: usize) -> AccessTrace {
+fn row_thrash_trace(g: &DramGeometry, n: usize) -> CompressedTrace {
     let a = g
         .linear_to_coord(0, AddressOrder::BaselineRowMajor)
         .unwrap();
@@ -27,16 +28,15 @@ fn row_thrash_trace(g: &DramGeometry, n: usize) -> AccessTrace {
         .collect()
 }
 
-fn check(trace: &AccessTrace, golden_latency: LatencyReport, golden_stats: AccessStats) {
-    let per_access = DramModel::new(DramConfig::tiny()).replay(trace);
+fn check(trace: &CompressedTrace, golden_latency: LatencyReport, golden_stats: AccessStats) {
+    let per_access = DramModel::new(DramConfig::tiny()).replay(&trace.expand());
     assert_eq!(
         per_access.latency, golden_latency,
         "per-access latency drifted"
     );
     assert_eq!(per_access.stats, golden_stats, "per-access stats drifted");
 
-    let compressed = CompressedTrace::compress(trace);
-    let batch = DramModel::new(DramConfig::tiny()).replay_compressed(&compressed);
+    let batch = DramModel::new(DramConfig::tiny()).replay(trace);
     assert_eq!(batch.latency, golden_latency, "batch latency drifted");
     assert_eq!(batch.stats, golden_stats, "batch stats drifted");
 }
@@ -46,7 +46,7 @@ fn sequential_64_golden() {
     let g = DramGeometry::tiny();
     // 64 columns = 8 rows of 8 in bank 0: 1 miss, 7 conflicts, 56 hits.
     check(
-        &AccessTrace::sequential_reads(&g, 64),
+        &CompressedTrace::sequential_reads(&g, 64),
         LatencyReport {
             total_ns: 540.0,
             serial_ns: 1406.25,
@@ -68,7 +68,7 @@ fn interleaved_64_golden() {
     // Striped over 2 banks: 4 row visits per bank, ACT/PRE overlap hides
     // most of the activation cost (total well under the sequential 540).
     check(
-        &AccessTrace::interleaved_reads(&g, 64),
+        &CompressedTrace::interleaved_reads(&g, 64),
         LatencyReport {
             total_ns: 415.0,
             serial_ns: 1392.5,

@@ -1,29 +1,28 @@
-//! Replay-oracle property suite: the batch (compressed) replay path must
-//! agree **bit for bit** with the retained per-access replay on
-//! `AccessStats`, `LatencyReport`, and — when requested — per-access
-//! `kinds`, for arbitrary mixed traces.
+//! Replay-oracle property suite: replaying a trace, `replay(&t)`, must
+//! agree **bit for bit** with stepping its accesses one by one,
+//! `replay(&t.expand())`, on `AccessStats`, `LatencyReport`, and — when
+//! requested — per-access `kinds`, for arbitrary mixed traces.
 //!
 //! Traces are generated from a seeded RNG as a mix of the shapes the
 //! mapping layer produces (long same-row runs) and adversarial fillers
 //! (random single accesses, row thrash, direction flips), so both the
 //! closed-form run arithmetic and the escape-hatch path are exercised in
 //! every interleaving. `DramConfig::tiny()` uses the nominal LPDDR3
-//! timings, which are exact binary quarters — every f64 operation in both
-//! paths is exact, so strict equality is the right assertion.
+//! timings, which are exact binary quarters — every f64 operation on both
+//! sides is exact, so strict equality is the right assertion.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparkxd_dram::{
-    Access, AccessTrace, CompressedTrace, DramConfig, DramCoord, DramGeometry, DramModel,
-};
+use sparkxd_dram::{Access, CompressedTrace, DramConfig, DramCoord, DramGeometry, DramModel};
 
 /// Random mixed trace over the tiny geometry: sequential runs (possibly
-/// wrapping rows), random jumps, and read/write mixes.
-fn random_trace(seed: u64, segments: usize) -> AccessTrace {
+/// wrapping rows), random jumps, and read/write mixes. Built by `push`,
+/// so same-row bursts merge into runs.
+fn random_trace(seed: u64, segments: usize) -> CompressedTrace {
     let g = DramGeometry::tiny();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut trace = AccessTrace::new();
+    let mut trace = CompressedTrace::new();
     for _ in 0..segments {
         let coord = DramCoord {
             channel: 0,
@@ -78,15 +77,13 @@ fn model() -> DramModel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The archetype headline: compressed replay ≡ per-access replay on
-    /// stats and latency, bit for bit.
+    /// The archetype headline: the closed-form run replay ≡ per-access
+    /// stepping on stats and latency, bit for bit.
     #[test]
     fn compressed_replay_is_bit_identical_to_per_access(seed in 0u64..10_000, segments in 1usize..40) {
         let trace = random_trace(seed, segments);
-        let compressed = CompressedTrace::compress(&trace);
-        prop_assert_eq!(compressed.expand(), trace.clone());
-        let reference = model().replay(&trace);
-        let batch = model().replay_compressed(&compressed);
+        let reference = model().replay(&trace.expand());
+        let batch = model().replay(&trace);
         prop_assert_eq!(&batch.stats, &reference.stats);
         // f64 equality is intentional: this is the bit-identity claim.
         prop_assert_eq!(batch.latency.total_ns, reference.latency.total_ns);
@@ -98,9 +95,8 @@ proptest! {
     #[test]
     fn compressed_kinds_align_with_per_access(seed in 0u64..10_000, segments in 1usize..24) {
         let trace = random_trace(seed, segments);
-        let compressed = CompressedTrace::compress(&trace);
-        let reference = model().replay_with_kinds(&trace);
-        let batch = model().replay_compressed_with_kinds(&compressed);
+        let reference = model().replay_with_kinds(&trace.expand());
+        let batch = model().replay_with_kinds(&trace);
         prop_assert_eq!(&batch, &reference);
         let kinds = batch.kinds.as_ref().expect("kinds requested");
         prop_assert_eq!(kinds.len(), trace.len());
@@ -110,41 +106,28 @@ proptest! {
     #[test]
     fn repeat_matches_materialized_passes(seed in 0u64..10_000, segments in 1usize..12, passes in 1usize..5) {
         let one_pass = random_trace(seed, segments);
-        let mut materialized = AccessTrace::new();
+        let mut materialized = CompressedTrace::new();
         for _ in 0..passes {
-            materialized.extend(one_pass.clone());
+            materialized.extend(one_pass.iter());
         }
-        let compressed = CompressedTrace::compress(&one_pass).with_repeat(passes);
+        let compressed = one_pass.with_repeat(passes);
         prop_assert_eq!(compressed.len(), materialized.len());
-        let reference = model().replay_with_kinds(&materialized);
-        let batch = model().replay_compressed_with_kinds(&compressed);
+        let reference = model().replay_with_kinds(&materialized.expand());
+        let batch = model().replay_with_kinds(&compressed);
         prop_assert_eq!(batch, reference);
     }
 
-    /// Classification-only walks agree with replay stats on both paths
-    /// (the shared-helper satellite, on compressed traces too).
-    #[test]
-    fn classify_agrees_with_replay_on_both_paths(seed in 0u64..10_000, segments in 1usize..30) {
-        let trace = random_trace(seed, segments);
-        let compressed = CompressedTrace::compress(&trace);
-        let replay_stats = model().replay(&trace).stats;
-        prop_assert_eq!(model().classify(&trace), replay_stats);
-        prop_assert_eq!(model().classify_compressed(&compressed), replay_stats);
-        prop_assert_eq!(
-            model().replay_compressed(&compressed).stats,
-            replay_stats
-        );
-    }
-
-    /// Compression round-trips: expansion is lossless, re-compression is
-    /// the identity on normalized traces.
+    /// Compression round-trips: expansion keeps every access in order,
+    /// and collecting the expansion back is the identity on normalized
+    /// traces.
     #[test]
     fn compress_expand_roundtrip(seed in 0u64..10_000, segments in 1usize..30) {
         let trace = random_trace(seed, segments);
-        let compressed = CompressedTrace::compress(&trace);
-        prop_assert_eq!(compressed.expand(), trace);
-        prop_assert_eq!(&CompressedTrace::compress(&compressed.expand()), &compressed);
-        prop_assert_eq!(compressed.iter().count(), compressed.len());
+        let flat = trace.expand();
+        prop_assert_eq!(flat.num_ops(), trace.len());
+        prop_assert!(flat.iter().eq(trace.iter()));
+        prop_assert_eq!(&flat.iter().collect::<CompressedTrace>(), &trace);
+        prop_assert_eq!(trace.iter().count(), trace.len());
     }
 }
 
@@ -155,19 +138,19 @@ fn bank_state_carries_across_batch_replays() {
     let a = random_trace(11, 9);
     let b = random_trace(23, 9);
     let mut concatenated = a.clone();
-    concatenated.extend(b.clone());
+    concatenated.extend(b.iter());
 
     let mut batch_model = model();
-    batch_model.replay_compressed(&CompressedTrace::compress(&a));
-    let second = batch_model.replay_compressed(&CompressedTrace::compress(&b));
+    batch_model.replay(&a);
+    let second = batch_model.replay(&b);
 
     let mut ref_model = model();
-    ref_model.replay(&a);
-    let ref_second = ref_model.replay(&b);
+    ref_model.replay(&a.expand());
+    let ref_second = ref_model.replay(&b.expand());
     assert_eq!(second.stats, ref_second.stats);
 
-    // And the concatenation replays identically on both paths.
-    let whole_batch = model().replay_compressed(&CompressedTrace::compress(&concatenated));
-    let whole_ref = model().replay(&concatenated);
+    // And the concatenation replays identically access by access.
+    let whole_batch = model().replay(&concatenated);
+    let whole_ref = model().replay(&concatenated.expand());
     assert_eq!(whole_batch, whole_ref);
 }

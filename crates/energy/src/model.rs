@@ -222,7 +222,7 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparkxd_dram::{AccessTrace, DramModel};
+    use sparkxd_dram::{CompressedTrace, DramModel};
 
     fn nominal() -> EnergyModel {
         EnergyModel::for_config(&DramConfig::lpddr3_1600_4gb())
@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn trace_energy_accounts_all_commands() {
         let config = DramConfig::tiny();
-        let trace = AccessTrace::sequential_reads(&config.geometry, 32);
+        let trace = CompressedTrace::sequential_reads(&config.geometry, 32);
         let out = DramModel::new(config.clone()).replay(&trace);
         let m = EnergyModel::for_config(&config);
         let e = m.trace_energy(&out.stats, &out.latency);
@@ -286,7 +286,7 @@ mod tests {
     fn reduced_voltage_reduces_trace_energy() {
         let hi_cfg = DramConfig::lpddr3_1600_4gb();
         let lo_cfg = DramConfig::approximate(Volt(1.025)).unwrap();
-        let trace = AccessTrace::sequential_reads(&hi_cfg.geometry, 4096);
+        let trace = CompressedTrace::sequential_reads(&hi_cfg.geometry, 4096);
         let hi_out = DramModel::new(hi_cfg.clone()).replay(&trace);
         let lo_out = DramModel::new(lo_cfg.clone()).replay(&trace);
         let hi_e = EnergyModel::for_config(&hi_cfg).trace_energy(&hi_out.stats, &hi_out.latency);

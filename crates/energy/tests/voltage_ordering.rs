@@ -3,7 +3,7 @@
 //! configurations, per access kind and end-to-end over replayed traces.
 
 use sparkxd_circuit::Volt;
-use sparkxd_dram::{AccessTrace, DramConfig, DramModel};
+use sparkxd_dram::{CompressedTrace, DramConfig, DramModel};
 use sparkxd_energy::EnergyModel;
 
 /// The paper's operating points, highest voltage first (Table I columns).
@@ -71,7 +71,7 @@ fn command_energy_follows_v_squared() {
 /// the slowed core timing inflates the background term.
 #[test]
 fn trace_energy_ordering_baseline_vs_reduced() {
-    let trace = AccessTrace::sequential_reads(&DramConfig::lpddr3_1600_4gb().geometry, 2048);
+    let trace = CompressedTrace::sequential_reads(&DramConfig::lpddr3_1600_4gb().geometry, 2048);
     let mut previous = f64::INFINITY;
     for v in LADDER {
         let config = if v == 1.35 {
@@ -97,7 +97,7 @@ fn trace_energy_ordering_baseline_vs_reduced() {
 fn end_to_end_saving_below_per_access_saving() {
     let hi_cfg = DramConfig::lpddr3_1600_4gb();
     let lo_cfg = DramConfig::approximate(Volt(1.025)).unwrap();
-    let trace = AccessTrace::sequential_reads(&hi_cfg.geometry, 4096);
+    let trace = CompressedTrace::sequential_reads(&hi_cfg.geometry, 4096);
 
     let per_access = 1.0
         - EnergyModel::for_config(&lo_cfg).access_energy().conflict_nj

@@ -159,7 +159,7 @@ impl Kernel {
     /// The fused multi-member row pass of the batched drive sweep: adds
     /// `row_tile` (one effective row's tile slice) into the drive slice of
     /// every batch member in `members`, i.e.
-    /// `drive[b * stride + offset ..][.. row_tile.len()] += row_tile` for
+    /// `drive[b * stride ..][.. row_tile.len()] += row_tile` for
     /// each `b`. The row tile is loaded once and applied to all members
     /// while hot, instead of being re-streamed per member.
     ///
@@ -170,19 +170,18 @@ impl Kernel {
         self,
         drive: &mut [f32],
         stride: usize,
-        offset: usize,
         members: &[usize],
         row_tile: &[f32],
     ) {
-        check_member_bounds(drive.len(), stride, offset, members, row_tile.len());
+        check_member_bounds(drive.len(), stride, members, row_tile.len());
         #[cfg(target_arch = "x86_64")]
         if self.run_avx2() {
             // SAFETY: AVX2 presence verified at runtime just above;
             // member bounds checked against `drive` just above.
-            unsafe { avx2::accumulate_members(drive, stride, offset, members, row_tile) };
+            unsafe { avx2::accumulate_members(drive, stride, members, row_tile) };
             return;
         }
-        scalar::accumulate_members(drive, stride, offset, members, row_tile);
+        scalar::accumulate_members(drive, stride, members, row_tile);
     }
 
     /// The stored-row `clamp_reads` accumulate training uses (its rows
@@ -316,21 +315,12 @@ pub fn prefetch_lanes(data: &[f32]) {
 }
 
 /// Validates that every member's drive slice
-/// `[b * stride + offset, b * stride + offset + len)` lies inside a drive
+/// `[b * stride, b * stride + len)` lies inside a drive
 /// buffer of `drive_len` lanes (overflow-checked), so the kernels can use
 /// unchecked lane addressing afterwards.
-fn check_member_bounds(
-    drive_len: usize,
-    stride: usize,
-    offset: usize,
-    members: &[usize],
-    len: usize,
-) {
+fn check_member_bounds(drive_len: usize, stride: usize, members: &[usize], len: usize) {
     for &b in members {
-        let start = b
-            .checked_mul(stride)
-            .and_then(|s| s.checked_add(offset))
-            .expect("member drive offset overflows");
+        let start = b.checked_mul(stride).expect("member drive start overflows");
         assert!(
             start.checked_add(len).is_some_and(|end| end <= drive_len),
             "member {b} drive slice [{start}, {start}+{len}) out of bounds (drive has {drive_len})"
@@ -349,12 +339,11 @@ mod scalar {
     pub(super) fn accumulate_members(
         drive: &mut [f32],
         stride: usize,
-        offset: usize,
         members: &[usize],
         row_tile: &[f32],
     ) {
         for &b in members {
-            let start = b * stride + offset;
+            let start = b * stride;
             let dst = &mut drive[start..start + row_tile.len()];
             for (d, w) in dst.chunks_exact_mut(8).zip(row_tile.chunks_exact(8)) {
                 for (dk, &wk) in d.iter_mut().zip(w) {
@@ -480,13 +469,12 @@ mod avx2 {
     /// # Safety
     ///
     /// AVX2 must be available, and every member slice
-    /// `[b * stride + offset, .. + row_tile.len())` must lie inside
+    /// `[b * stride, .. + row_tile.len())` must lie inside
     /// `drive` (the dispatcher checks both).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn accumulate_members(
         drive: &mut [f32],
         stride: usize,
-        offset: usize,
         members: &[usize],
         row_tile: &[f32],
     ) {
@@ -502,7 +490,7 @@ mod avx2 {
         // adds happen in the same (single) per-row order as the scalar
         // kernel, so bit-identity holds.
         for &b in members {
-            let p = base.add(b * stride + offset);
+            let p = base.add(b * stride);
             let mut c = 0;
             while c + 16 <= len {
                 let w0 = _mm256_loadu_ps(row.add(c));
@@ -836,23 +824,19 @@ mod tests {
         // every kernel, tail alignment and member multiplicity.
         let stride = 23;
         for kernel in Kernel::available() {
-            for (offset, width) in [(0usize, 23usize), (5, 9), (16, 7), (20, 3), (0, 8)] {
+            for width in [23usize, 9, 7, 3, 8] {
                 let members = [0usize, 2, 3];
                 let row_tile = nasty_lanes(width, 1);
                 let mut expect = nasty_lanes(4 * stride, 2);
                 let mut got = expect.clone();
                 for &b in &members {
-                    let dst = &mut expect[b * stride + offset..b * stride + offset + width];
+                    let dst = &mut expect[b * stride..b * stride + width];
                     for (d, &w) in dst.iter_mut().zip(&row_tile) {
                         *d += w;
                     }
                 }
-                kernel.accumulate_members(&mut got, stride, offset, &members, &row_tile);
-                assert_eq!(
-                    bits(&expect),
-                    bits(&got),
-                    "{kernel:?} offset={offset} width={width}"
-                );
+                kernel.accumulate_members(&mut got, stride, &members, &row_tile);
+                assert_eq!(bits(&expect), bits(&got), "{kernel:?} width={width}");
             }
         }
     }
@@ -861,7 +845,8 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn accumulate_members_rejects_out_of_bounds_member() {
         let mut drive = vec![0.0f32; 16];
-        Kernel::Scalar.accumulate_members(&mut drive, 8, 4, &[1], &[1.0; 8]);
+        // Member 2 would start at lane 16, one past the end.
+        Kernel::Scalar.accumulate_members(&mut drive, 8, &[0, 2], &[1.0; 8]);
     }
 
     #[test]

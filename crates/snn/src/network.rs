@@ -564,7 +564,7 @@ unsafe fn sweep_lane_range(
             // registers across every member that spiked on it.
             let row_tile = &params.plane.row(row)[t0..t1];
             let members = &members_flat[member_starts[ri]..member_starts[ri + 1]];
-            kernel.accumulate_members(tile_drive, len, 0, members, row_tile);
+            kernel.accumulate_members(tile_drive, len, members, row_tile);
         }
         for (b, drive) in tile_drive.chunks_exact(len).enumerate() {
             let base = b * n + t0;

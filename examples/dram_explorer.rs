@@ -7,7 +7,7 @@
 //! ```
 
 use sparkxd::circuit::{BitlineModel, Volt};
-use sparkxd::dram::{AccessTrace, DramConfig, DramModel};
+use sparkxd::dram::{CompressedTrace, DramConfig, DramModel};
 use sparkxd::energy::EnergyModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Row-buffer behaviour and bank-level overlap.
     let config = DramConfig::lpddr3_1600_4gb();
-    let sequential = AccessTrace::sequential_reads(&config.geometry, 2048);
-    let interleaved = AccessTrace::interleaved_reads(&config.geometry, 2048);
+    let sequential = CompressedTrace::sequential_reads(&config.geometry, 2048);
+    let interleaved = CompressedTrace::interleaved_reads(&config.geometry, 2048);
     let seq = DramModel::new(config.clone()).replay(&sequential);
     let inter = DramModel::new(config.clone()).replay(&interleaved);
     println!("\nrow-buffer statistics over 2048 reads:");

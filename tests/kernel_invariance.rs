@@ -109,8 +109,8 @@ fn check_kernels_agree(len: usize, phase: usize) {
             .map(|i| NASTY[(i + phase) % NASTY.len()])
             .collect();
         let mut b = a.clone();
-        Kernel::Scalar.accumulate_members(&mut a, stride, 0, &members, &row);
-        kernel.accumulate_members(&mut b, stride, 0, &members, &row);
+        Kernel::Scalar.accumulate_members(&mut a, stride, &members, &row);
+        kernel.accumulate_members(&mut b, stride, &members, &row);
         assert_bits_eq(&b, &a, "accumulate_members");
         // Branch-free LIF lane update.
         let run = |k: Kernel| {

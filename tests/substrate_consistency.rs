@@ -3,7 +3,7 @@
 
 use sparkxd::circuit::{BitlineModel, TimingTable, Volt};
 use sparkxd::core::mapping::{BaselineMapping, MappingPolicy, SparkXdMapping};
-use sparkxd::dram::{AccessTrace, DramConfig, DramModel};
+use sparkxd::dram::{CompressedTrace, DramConfig, DramModel};
 use sparkxd::energy::EnergyModel;
 use sparkxd::error::{BerCurve, ErrorProfile, WeakCellMap};
 
@@ -25,7 +25,7 @@ fn energy_per_access_consistent_with_trace_pricing() {
     // full trace model minus activation/background overheads.
     let config = DramConfig::lpddr3_1600_4gb();
     let n = 1024;
-    let trace = AccessTrace::sequential_reads(&config.geometry, n);
+    let trace = CompressedTrace::sequential_reads(&config.geometry, n);
     let out = DramModel::new(config.clone()).replay(&trace);
     let model = EnergyModel::for_config(&config);
     let breakdown = model.trace_energy(&out.stats, &out.latency);
@@ -99,7 +99,7 @@ fn mapping_energy_is_within_few_percent_of_baseline_layout() {
         .unwrap();
     let model = EnergyModel::for_config(&config);
     let price = |m: &sparkxd::core::mapping::Mapping| {
-        let out = DramModel::new(config.clone()).replay_compressed(&m.read_trace());
+        let out = DramModel::new(config.clone()).replay(&m.read_trace());
         model.trace_energy(&out.stats, &out.latency).total_nj()
     };
     let (e_base, e_spark) = (price(&base_map), price(&spark_map));
@@ -111,10 +111,10 @@ fn mapping_energy_is_within_few_percent_of_baseline_layout() {
 
 #[test]
 fn compressed_replay_matches_per_access_on_mapped_traces() {
-    // The energy evaluator prices mappings through the batch replay path;
-    // check against the per-access oracle on a real mapped weight image at
-    // full device scale (nominal timings are exactly representable, so the
-    // two paths must agree bit for bit).
+    // The energy evaluator prices mappings by replaying compressed traces;
+    // check against stepping the expanded trace access by access on a real
+    // mapped weight image at full device scale (nominal timings are exactly
+    // representable, so the two must agree bit for bit).
     let config = DramConfig::lpddr3_1600_4gb();
     let profile = ErrorProfile::uniform(1e-4, config.geometry.total_subarrays());
     for mapping in [
@@ -127,7 +127,7 @@ fn compressed_replay_matches_per_access_on_mapped_traces() {
     ] {
         let compressed = mapping.read_trace();
         let per_access = DramModel::new(config.clone()).replay(&compressed.expand());
-        let batch = DramModel::new(config.clone()).replay_compressed(&compressed);
+        let batch = DramModel::new(config.clone()).replay(&compressed);
         assert_eq!(per_access, batch, "policy {}", mapping.policy());
     }
 }
