@@ -15,8 +15,9 @@
 //! weight-streaming traces and need no training.
 //!
 //! [`oracle`] is the scalar reference simulator the invariance suites and
-//! the nightly throughput rows compare the library's simulation core
-//! against.
+//! the `nightly_n400` N3600 kernel floors compare the library's
+//! simulation core against. `nightly_n400` only gates; the measured
+//! benchmark ledger is the separate `perfbench/` package.
 
 pub mod experiments;
 pub mod oracle;
@@ -25,13 +26,10 @@ pub mod scale;
 pub mod table;
 pub mod telemetry_report;
 
-pub use report::{
-    append_job_summary, bench_json, paper_sections, precision_json, run_sections_with,
-    write_bench_json, BenchRow, PrecisionRow, Section,
-};
+pub use report::{append_job_summary, paper_sections, run_sections_with, Section};
 pub use scale::Scale;
 pub use table::TextTable;
-pub use telemetry_report::{telemetry_overhead_json, telemetry_summary, telemetry_table};
+pub use telemetry_report::{telemetry_summary, telemetry_table};
 
 /// Resolves the `SPARKXD_*` engine and telemetry variables once for a
 /// binary or example: installs the telemetry mode and returns the engine

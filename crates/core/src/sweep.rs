@@ -13,6 +13,24 @@ use crate::CoreError;
 use sparkxd_snn::engine::parallel_map;
 use std::ops::Range;
 
+/// Two-sided 95% Student-t critical value `t(0.975, df)` for `df ≥ 1`:
+/// the three-decimal table for `df ≤ 30`, the Cornish–Fisher expansion
+/// around z = 1.959964 beyond (within 1e-4 of exact there).
+fn t975(df: usize) -> f64 {
+    const TABLE: [f64; 30] = [
+        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
+        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
+        2.052, 2.048, 2.045, 2.042,
+    ];
+    if let Some(&t) = TABLE.get(df.wrapping_sub(1)) {
+        return t;
+    }
+    let (z, v) = (1.959964f64, df as f64);
+    z + (z.powi(3) + z) / (4.0 * v)
+        + (5.0 * z.powi(5) + 16.0 * z.powi(3) + 3.0 * z) / (96.0 * v * v)
+        + (3.0 * z.powi(7) + 19.0 * z.powi(5) + 17.0 * z.powi(3) - 15.0 * z) / (384.0 * v.powi(3))
+}
+
 /// Summary statistics of one metric across the sweep's devices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepStat {
@@ -23,7 +41,8 @@ pub struct SweepStat {
     /// Sample standard deviation (Bessel-corrected; 0 for n < 2).
     pub std_dev: f64,
     /// Half-width of the 95% confidence interval on the mean
-    /// (`1.96 · σ / √n`; 0 for n < 2).
+    /// (`t(0.975, n−1) · σ / √n`, Student-t because σ is estimated from
+    /// the same few devices; 0 for n < 2).
     pub ci95: f64,
     /// Smallest observation.
     pub min: f64,
@@ -55,7 +74,7 @@ impl SweepStat {
         let ci95 = if n < 2 {
             0.0
         } else {
-            1.96 * std_dev / (n as f64).sqrt()
+            t975(n - 1) * std_dev / (n as f64).sqrt()
         };
         let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
         for &x in samples {
@@ -224,10 +243,24 @@ mod tests {
         assert_eq!(s.n, 3);
         assert!((s.mean - 2.0).abs() < 1e-12);
         assert!((s.std_dev - 1.0).abs() < 1e-12);
-        assert!((s.ci95 - 1.96 / 3f64.sqrt()).abs() < 1e-12);
+        assert!((s.ci95 - 4.303 / 3f64.sqrt()).abs() < 1e-12);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 3.0);
         assert!((s.hi() - s.lo() - 2.0 * s.ci95).abs() < 1e-12);
+        // n = 8 (the README's sweep size): mean 4.5, σ = √6, t(0.975, 7).
+        let s = SweepStat::from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        assert!((s.std_dev - 6f64.sqrt()).abs() < 1e-12);
+        assert!((s.ci95 - 2.365 * 6f64.sqrt() / 8f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn t_critical_value_joins_the_table_and_tends_to_z() {
+        // df = 31 and 120 against exact quantiles (2.0395, 1.9799); the
+        // expansion continues the table's descent and converges to z.
+        assert!((t975(31) - 2.0395).abs() < 1e-4);
+        assert!((t975(120) - 1.9799).abs() < 1e-4);
+        assert!(t975(31) < t975(30));
+        assert!((t975(1_000_000) - 1.959964).abs() < 1e-5);
     }
 
     #[test]

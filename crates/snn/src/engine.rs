@@ -910,32 +910,48 @@ impl BatchEvaluator {
         }
     }
 
-    /// Presents every sample of `range` (batched in groups of
-    /// `exec.batch`) and hands each `(dataset index, spike counts)` to
-    /// `sink` in ascending index order.
-    fn run_range(
+    /// Presents every sample of `dataset` — sharded into one contiguous
+    /// chunk per worker, batched in groups of `exec.batch` within each
+    /// chunk — and folds each `(dataset index, spike counts)` into its
+    /// chunk's accumulator, built by `init` from the chunk's index range.
+    /// Returns the accumulators in chunk order; within a chunk, samples
+    /// arrive in ascending index order. Counts are folded and dropped
+    /// batch by batch, so no whole-dataset count matrix exists unless
+    /// `step` keeps one.
+    fn fold<A, I, S>(
         &self,
         params: &NetworkParams,
         dataset: &Dataset,
         seed: u64,
-        range: Range<usize>,
-        mut sink: impl FnMut(usize, Vec<u32>),
-    ) {
+        init: I,
+        step: S,
+    ) -> Vec<A>
+    where
+        A: Send + Sync,
+        I: Fn(&Range<usize>) -> A + Sync,
+        S: Fn(&mut A, usize, Vec<u32>) + Sync,
+    {
         let batch = self.exec.batch.max(1);
-        let mut state = BatchState::for_exec(params, &self.exec);
-        let mut start = range.start;
-        while start < range.end {
-            let end = (start + batch).min(range.end);
-            let pixels: Vec<&[f32]> = (start..end).map(|i| dataset.get(i).0.pixels()).collect();
-            let mut rngs: Vec<StdRng> = (start..end).map(|i| sample_rng(seed, i as u64)).collect();
-            let counts = params
-                .run_batch(&mut state, &pixels, &mut rngs)
-                .expect("dataset image matches configured input size");
-            for (offset, sample_counts) in counts.into_iter().enumerate() {
-                sink(start + offset, sample_counts);
+        let chunks = chunk_ranges(dataset.len(), self.threads_for(dataset.len()));
+        parallel_map(&chunks, chunks.len(), |_, range| {
+            let mut acc = init(range);
+            let mut state = BatchState::for_exec(params, &self.exec);
+            let mut start = range.start;
+            while start < range.end {
+                let end = (start + batch).min(range.end);
+                let pixels: Vec<&[f32]> = (start..end).map(|i| dataset.get(i).0.pixels()).collect();
+                let mut rngs: Vec<StdRng> =
+                    (start..end).map(|i| sample_rng(seed, i as u64)).collect();
+                let counts = params
+                    .run_batch(&mut state, &pixels, &mut rngs)
+                    .expect("dataset image matches configured input size");
+                for (offset, sample_counts) in counts.into_iter().enumerate() {
+                    step(&mut acc, start + offset, sample_counts);
+                }
+                start = end;
             }
-            start = end;
-        }
+            acc
+        })
     }
 
     /// Per-neuron spike counts for every sample of `dataset` (inference
@@ -946,19 +962,40 @@ impl BatchEvaluator {
         dataset: &Dataset,
         seed: u64,
     ) -> Vec<Vec<u32>> {
-        let chunks = chunk_ranges(dataset.len(), self.threads_for(dataset.len()));
-        let per_chunk = parallel_map(&chunks, chunks.len(), |_, range| {
-            let mut out = Vec::with_capacity(range.len());
-            self.run_range(params, dataset, seed, range.clone(), |_, counts| {
-                out.push(counts)
-            });
-            out
-        });
+        let per_chunk = self.fold(
+            params,
+            dataset,
+            seed,
+            |range| Vec::with_capacity(range.len()),
+            |out, _, counts| out.push(counts),
+        );
+        per_chunk.into_iter().flatten().collect()
+    }
+
+    /// The class `labeler` predicts for every sample of `dataset`, in
+    /// dataset order (`None` where the labeler assigns no winner) — the
+    /// per-sample outcomes that paired comparisons of two models or two
+    /// devices need.
+    pub fn predictions(
+        &self,
+        params: &NetworkParams,
+        dataset: &Dataset,
+        labeler: &NeuronLabeler,
+        seed: u64,
+    ) -> Vec<Option<u8>> {
+        let per_chunk = self.fold(
+            params,
+            dataset,
+            seed,
+            |range| Vec::with_capacity(range.len()),
+            |out, _, counts| out.push(labeler.predict(&counts)),
+        );
         per_chunk.into_iter().flatten().collect()
     }
 
     /// Classification accuracy of `params` on `dataset` under `labeler`'s
-    /// neuron assignments.
+    /// neuron assignments: the fraction of [`predictions`](Self::predictions)
+    /// that hit the sample's label.
     pub fn evaluate(
         &self,
         params: &NetworkParams,
@@ -969,18 +1006,13 @@ impl BatchEvaluator {
         if dataset.is_empty() {
             return 0.0;
         }
-        let chunks = chunk_ranges(dataset.len(), self.threads_for(dataset.len()));
-        let correct_per_chunk = parallel_map(&chunks, chunks.len(), |_, range| {
-            let mut correct = 0usize;
-            self.run_range(params, dataset, seed, range.clone(), |idx, counts| {
-                let (_, label) = dataset.get(idx);
-                if labeler.predict(&counts) == Some(label) {
-                    correct += 1;
-                }
-            });
-            correct
-        });
-        correct_per_chunk.iter().sum::<usize>() as f64 / dataset.len() as f64
+        let predictions = self.predictions(params, dataset, labeler, seed);
+        let hits = predictions
+            .iter()
+            .enumerate()
+            .filter(|&(i, &predicted)| predicted == Some(dataset.get(i).1))
+            .count();
+        hits as f64 / dataset.len() as f64
     }
 
     /// Assigns a class to each neuron from its responses on `dataset`
@@ -993,17 +1025,18 @@ impl BatchEvaluator {
         seed: u64,
     ) -> NeuronLabeler {
         let n_neurons = params.config().n_neurons;
-        let chunks = chunk_ranges(dataset.len(), self.threads_for(dataset.len()));
-        let per_chunk = parallel_map(&chunks, chunks.len(), |_, range| {
-            let mut response = vec![[0u64; 10]; n_neurons];
-            self.run_range(params, dataset, seed, range.clone(), |idx, counts| {
+        let per_chunk = self.fold(
+            params,
+            dataset,
+            seed,
+            |_| vec![[0u64; 10]; n_neurons],
+            |response, idx, counts| {
                 let (_, label) = dataset.get(idx);
-                for (j, &c) in counts.iter().enumerate() {
-                    response[j][label as usize] += c as u64;
+                for (row, &c) in response.iter_mut().zip(&counts) {
+                    row[label as usize] += c as u64;
                 }
-            });
-            response
-        });
+            },
+        );
         let mut merged = vec![[0u64; 10]; n_neurons];
         for response in per_chunk {
             for (total, part) in merged.iter_mut().zip(response) {
@@ -1140,6 +1173,35 @@ mod tests {
         assert_eq!(
             BatchEvaluator::default().evaluate(&params, &empty, &labeler, 1),
             0.0
+        );
+    }
+
+    #[test]
+    fn predictions_are_per_sample_and_evaluate_is_their_hit_fraction() {
+        let params = trained_params();
+        let data = SynthDigits.generate(13, 3);
+        let labeler = BatchEvaluator::with_threads(1).label_neurons(&params, &data, 4);
+        let expected: Vec<Option<u8>> = BatchEvaluator::with_threads(1)
+            .spike_counts(&params, &data, 5)
+            .iter()
+            .map(|counts| labeler.predict(counts))
+            .collect();
+        for (threads, batch) in [(1, 1), (2, 3), (3, 4)] {
+            let eval = BatchEvaluator::with_threads(threads).with_batch(batch);
+            assert_eq!(
+                eval.predictions(&params, &data, &labeler, 5),
+                expected,
+                "threads={threads} batch={batch}"
+            );
+        }
+        let hits = expected
+            .iter()
+            .zip(data.iter())
+            .filter(|(predicted, (_, label))| **predicted == Some(*label))
+            .count();
+        assert_eq!(
+            BatchEvaluator::with_threads(2).evaluate(&params, &data, &labeler, 5),
+            hits as f64 / data.len() as f64
         );
     }
 

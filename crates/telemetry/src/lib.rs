@@ -7,8 +7,8 @@
 //! export surfaces read it back:
 //!
 //! * [`TelemetrySnapshot::capture`] + [`TelemetrySnapshot::to_json`] — a
-//!   serde-free hand-rolled JSON document (same idiom as the bench
-//!   crate's `bench_json`),
+//!   serde-free hand-rolled JSON document (the workspace carries no
+//!   serialisation dependency),
 //! * [`write_chrome_trace`] / the RAII [`TraceFile`] — a Chrome
 //!   trace-event file of the recorded spans, loadable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev),
@@ -763,7 +763,7 @@ impl TelemetrySnapshot {
             && self.spans.is_empty()
     }
 
-    /// Hand-rolled JSON document (no serde; `bench_json` idiom).
+    /// Hand-rolled JSON document (no serde; shape pinned by tests).
     pub fn to_json(&self) -> String {
         let named = |pairs: &[(String, u64)]| -> String {
             pairs

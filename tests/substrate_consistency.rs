@@ -135,7 +135,8 @@ fn compressed_replay_matches_per_access_on_mapped_traces() {
 #[test]
 fn packed_images_replay_proportionally_cheaper_traces() {
     // Traffic consistency across snn/core/dram/energy: an int8 N400 image
-    // maps to a quarter of the FP32 columns, and its trace replays for a
+    // maps to a quarter of the FP32 columns, replays in at most 0.3x the
+    // FP32 trace's ops (154 vs 613 on the baseline mapping) and for a
     // quarter-ish of the energy (row-activation overhead shifts the ratio
     // by at most a few percent). A bytes-per-word mismatch anywhere in
     // mapping or trace generation breaks the proportion immediately.
@@ -150,14 +151,23 @@ fn packed_images_replay_proportionally_cheaper_traces() {
             .map(n_columns, &config.geometry, &flat, f64::MAX)
             .unwrap()
             .with_precision(precision);
-        (n_columns, EnergyEvaluation::evaluate(&config, &mapping))
+        let ops = mapping.read_trace().num_ops();
+        (
+            n_columns,
+            ops,
+            EnergyEvaluation::evaluate(&config, &mapping),
+        )
     };
-    let (cols_f32, pass_f32) = pass(WeightPrecision::Fp32);
-    let (cols_i16, pass_i16) = pass(WeightPrecision::Int16);
-    let (cols_i8, pass_i8) = pass(WeightPrecision::Int8);
+    let (cols_f32, ops_f32, pass_f32) = pass(WeightPrecision::Fp32);
+    let (cols_i16, _, pass_i16) = pass(WeightPrecision::Int16);
+    let (cols_i8, ops_i8, pass_i8) = pass(WeightPrecision::Int8);
     assert_eq!(cols_f32, 78_400);
     assert_eq!(cols_i16 * 2, cols_f32);
     assert_eq!(cols_i8 * 4, cols_f32);
+    assert!(
+        ops_i8 as f64 <= 0.3 * ops_f32 as f64,
+        "int8 N400 replay ops {ops_i8} exceed 0.3x the FP32 trace's {ops_f32}"
+    );
     assert!(pass_i8.total_mj() < pass_i16.total_mj());
     assert!(pass_i16.total_mj() < pass_f32.total_mj());
     let ratio = pass_i8.total_mj() / pass_f32.total_mj();
